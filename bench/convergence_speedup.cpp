@@ -1,19 +1,18 @@
-//===- bench/convergence_speedup.cpp - Convergence early-exit payoff ------===//
+//===- bench/convergence_speedup.cpp - Differential replay payoff ---------===//
 //
 // Part of the TALFT project.
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures what the convergence early-exit (CampaignOptions::Converge)
-// buys on the Theorem 4 sweep: every Figure 10 kernel is swept twice on
-// the raw-semantics campaign — once with the fingerprint timeline and
-// convergence probe enabled, once with full runs — and the harness
-// compares wall-clock time and asserts the verdict tables and violation
-// lists are bit-identical (the early exit is an optimization, never a
-// semantic change). Masked faults dominate the sweep and re-join the
-// reference run within a short divergence window, so the accelerated
-// classifier replaces O(remaining program) per masked injection with
-// O(window); the pruned sweep targets a >= 3x overall speedup.
+// Measures what the differential replay (CampaignOptions::Converge) buys
+// on the Theorem 4 sweep: every Figure 10 kernel is swept twice on the
+// raw-semantics campaign — once with the replay enabled, once with full
+// concrete runs — and the harness compares wall-clock time and asserts
+// the verdict tables and violation lists are bit-identical (the replay is
+// an optimization, never a semantic change). The replay walks only the
+// reference transitions that touch a corrupted register, so a register
+// fault whose taint dies out or is never read again is classified without
+// simulating the rest of the program.
 //
 //   convergence_speedup [--threads N] [--engine reference|vm|jit]
 //                       [--no-prune] [--json [FILE]]
@@ -93,7 +92,7 @@ struct KernelRow {
   bool Identical = false;
 };
 
-/// The whole-campaign cost: reference phase (which pays the timeline
+/// The whole-campaign cost: reference phase (which pays the replay's
 /// recording when convergence is on) plus the injection phase.
 double campaignSeconds(const CampaignResult &R) {
   return R.Stats.ReferenceSeconds + R.Stats.WallSeconds;
@@ -112,17 +111,17 @@ int main(int Argc, char **Argv) {
   }
   FILE *Out = (C.Json && C.JsonPath.empty()) ? stderr : stdout;
 
-  std::fprintf(Out, "Convergence early-exit speedup on the Figure 10 sweep\n");
+  std::fprintf(Out, "Differential replay speedup on the Figure 10 sweep\n");
   std::fprintf(Out,
                "(%s sites; %u thread%s; %s engine; identical = verdict "
                "table, violations\nand reference steps match the full-run "
                "baseline bit-for-bit)\n\n",
                C.Prune ? "pruned" : "all", C.Threads,
                C.Threads == 1 ? "" : "s", C.Engine.c_str());
-  std::fprintf(Out, "%-12s %10s %9s %9s %8s %9s %11s %8s %10s\n", "kernel",
-               "injections", "full(s)", "accel(s)", "speedup", "exits",
-               "mean win", "skips", "identical");
-  std::fprintf(Out, "%.*s\n", 95,
+  std::fprintf(Out, "%-12s %10s %9s %9s %8s %8s %12s %10s\n", "kernel",
+               "injections", "full(s)", "accel(s)", "speedup", "skips",
+               "skip steps", "identical");
+  std::fprintf(Out, "%.*s\n", 85,
                "------------------------------------------------------------"
                "-----------------------------------");
 
@@ -191,21 +190,18 @@ int main(int Argc, char **Argv) {
     FullTotal += FullS;
     AccelTotal += AccelS;
     const CampaignStats &A = Row.Accel.Stats;
-    double MeanWin =
-        A.EarlyExits ? (double)A.WindowSum / (double)A.EarlyExits : 0.0;
-    std::fprintf(Out,
-                 "%-12s %10llu %9.4f %9.4f %7.2fx %9llu %11.2f %8llu %10s\n",
+    std::fprintf(Out, "%-12s %10llu %9.4f %9.4f %7.2fx %8llu %12llu %10s\n",
                  Row.Name.c_str(),
                  (unsigned long long)Row.Full.Table.total(), FullS, AccelS,
                  AccelS > 0 ? FullS / AccelS : 0.0,
-                 (unsigned long long)A.EarlyExits, MeanWin,
                  (unsigned long long)A.LockstepSkips,
+                 (unsigned long long)A.LockstepSteps,
                  Row.Identical ? "yes" : "NO");
     Rows.push_back(std::move(Row));
   }
 
   double Overall = AccelTotal > 0 ? FullTotal / AccelTotal : 0.0;
-  std::fprintf(Out, "%.*s\n", 95,
+  std::fprintf(Out, "%.*s\n", 85,
                "------------------------------------------------------------"
                "-----------------------------------");
   std::fprintf(Out, "%-12s %10s %9.4f %9.4f %7.2fx\n", "total", "", FullTotal,
@@ -233,8 +229,6 @@ int main(int Argc, char **Argv) {
       const CampaignStats &A = R.Accel.Stats;
       double FullS = campaignSeconds(R.Full);
       double AccelS = campaignSeconds(R.Accel);
-      double MeanWin =
-          A.EarlyExits ? (double)A.WindowSum / (double)A.EarlyExits : 0.0;
       char Buf[768];
       std::snprintf(
           Buf, sizeof(Buf),
@@ -243,17 +237,14 @@ int main(int Argc, char **Argv) {
           "\"full_seconds\": %.6f, \"accel_seconds\": %.6f, "
           "\"accel_reference_seconds\": %.6f, "
           "\"speedup\": %.2f, \"tables_identical\": %s, "
-          "\"convergence\": {\"early_exits\": %llu, \"mean_window\": %.2f, "
-          "\"max_window\": %llu, \"steps_saved\": %llu, "
-          "\"lockstep_skips\": %llu, \"lockstep_steps\": %llu}}%s\n",
+          "\"convergence\": {\"lockstep_skips\": %llu, "
+          "\"lockstep_steps\": %llu}}%s\n",
           R.Name.c_str(), R.Suite.c_str(),
           (unsigned long long)R.Full.ReferenceSteps,
           (unsigned long long)R.Stride,
           (unsigned long long)R.Full.Table.total(), FullS, AccelS,
           A.ReferenceSeconds, AccelS > 0 ? FullS / AccelS : 0.0,
-          R.Identical ? "true" : "false", (unsigned long long)A.EarlyExits,
-          MeanWin, (unsigned long long)A.MaxWindow,
-          (unsigned long long)A.StepsSaved,
+          R.Identical ? "true" : "false",
           (unsigned long long)A.LockstepSkips,
           (unsigned long long)A.LockstepSteps,
           I + 1 != Rows.size() ? "," : "");

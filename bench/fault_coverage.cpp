@@ -63,11 +63,13 @@
 //                 Record-only: verdict tables are bit-identical either
 //                 way. A nonzero violation count is a hard analysis bug —
 //                 the static sets missed a target a real run took.
-//   --no-converge disable the convergence early-exit (fingerprint
-//                 timeline + full-equality probe) in the classifier.
-//                 Verdict tables are bit-identical either way — the
-//                 nightly workflow asserts exactly that — so this is
-//                 purely a baseline/escape hatch for timing the
+//   --no-converge disable the differential replay in the classifier
+//                 (register-site faults are then simulated concretely
+//                 from the injection point instead of walking only the
+//                 reference transitions that touch the corrupted
+//                 register). Verdict tables are bit-identical either
+//                 way — the nightly workflow asserts exactly that — so
+//                 this is purely a baseline/escape hatch for timing the
 //                 unaccelerated sweep.
 //   --no-lanes    disable the batched structure-of-arrays lane engine
 //                 (vm/LaneEngine.h) and classify every injection on the
@@ -88,9 +90,14 @@
 //   --shard-index I
 //                 which shard to run (default 0; must be < N).
 //   --json [FILE] emit a machine-readable report (schema
-//                 talft-fault-campaign-v8: v7 plus 'jit' in the engine
-//                 enum and the per-campaign "jit" stats object
-//                 (native, blocks_compiled, code_bytes, side_exits,
+//                 talft-fault-campaign-v9: v8 minus the convergence
+//                 probe's counters — the per-campaign "convergence"
+//                 object keeps "enabled", "lockstep_skips" and
+//                 "lockstep_steps" and drops "early_exits",
+//                 "mean_window", "window_sum", "max_window" and
+//                 "steps_saved"; v8 added 'jit' to the engine enum and
+//                 the per-campaign "jit" stats object (native,
+//                 blocks_compiled, code_bytes, side_exits,
 //                 simd_lane_width); v7 added the top-level
 //                 "cfi_check" knob, the per-program "target_resolution"
 //                 summary from the indirect-target ladder, the
@@ -490,7 +497,7 @@ bool sweepFig10(const Cli &C, std::vector<SweepRow> &Rows) {
 std::string reportJson(const Cli &C, const std::vector<SweepRow> &Rows,
                        bool Ok) {
   std::string S = "{\n";
-  S += "  \"schema\": \"talft-fault-campaign-v8\",\n";
+  S += "  \"schema\": \"talft-fault-campaign-v9\",\n";
   S += "  \"engine\": \"" + C.Engine + "\",\n";
   S += "  \"threads\": " + std::to_string(C.Threads) + ",\n";
   S += "  \"recover\": " + std::string(C.Recover ? "true" : "false") + ",\n";

@@ -311,26 +311,16 @@ struct ExecRec {
   int64_t Result = 0;
 };
 
-/// Everything the convergence machinery needs: the per-step fingerprint
-/// timeline of the reference run, dense snapshots to reconstruct an
-/// arbitrary reference state from (Snaps[k].Steps == k * Stride by
-/// construction), the register access log and the recorded instruction
-/// stream driving the differential replay (null in plan campaigns, whose
-/// earlier injections already diverged the state).
-struct ConvergenceContext {
-  const std::vector<uint64_t> *Timeline = nullptr;
+/// Everything the differential replay needs: dense snapshots to
+/// reconstruct an arbitrary reference state from (Snaps[k].Steps ==
+/// k * Stride by construction), the register access log and the recorded
+/// reference instruction stream.
+struct ReplayContext {
   const std::vector<UntypedSnapshot> *Snaps = nullptr;
   uint64_t Stride = 1;
   const AccessLog *Accesses = nullptr;
   const std::vector<ExecRec> *Execs = nullptr;
 };
-
-/// Probe only every 16th fetch boundary (ExecEngine::ConvergenceProbe's
-/// Mask). Thinning the probe is verdict-neutral (see the struct's doc);
-/// it exists because the fingerprint compose and timeline load are pure
-/// overhead on continuations that never converge, which dominate the
-/// detect-heavy kernels.
-constexpr uint64_t ProbeMask = 15;
 
 /// The faulty payloads of a differential replay: (dense register index,
 /// value) pairs for exactly the registers whose payload differs from the
@@ -377,24 +367,14 @@ void patchTaint(MachineState &S, const TaintMap &T) {
   }
 }
 
-/// One task's convergence outcome, written by classifyContinuation and
-/// merged deterministically after the parallel phase.
-struct ConvergenceHit {
-  bool Hit = false;
-  uint64_t Window = 0; ///< Steps from injection to the convergence point.
-  uint64_t Saved = 0;  ///< Reference-tail steps skipped by the early exit.
-  uint64_t Skipped = 0; ///< Lockstep-prefix steps discharged unsimulated.
-};
-
-/// Phase-1 collector for the convergence machinery: the per-step
-/// fingerprint timeline, the register access log, and the dense
-/// reconstruction snapshots. The snapshot stride starts small and doubles
+/// Phase-1 collector for the differential replay: the register access log,
+/// the executed instruction stream, and the dense reconstruction
+/// snapshots. The snapshot stride starts small and doubles
 /// (dropping the odd-indexed half) whenever the cap is hit, bounding
 /// memory at MaxSnaps states while preserving the indexing invariant
 /// Snaps[k].Steps == k * Stride.
-struct ConvergenceRecorder {
+struct ReplayRecorder {
   bool Enabled = false;
-  std::vector<uint64_t> Timeline;
   AccessLog Accesses;
   std::vector<ExecRec> Execs;
   std::vector<UntypedSnapshot> Snaps;
@@ -402,10 +382,8 @@ struct ConvergenceRecorder {
   static constexpr size_t MaxSnaps = 512;
 
   void start(const MachineState &S) {
-    if (!Enabled)
-      return;
-    Timeline.push_back(S.fingerprint());
-    Snaps.push_back({S, 0, 0});
+    if (Enabled)
+      Snaps.push_back({S, 0, 0});
   }
 
   /// Call with the pre-step state; \p NextStep is the 1-based index of the
@@ -433,7 +411,6 @@ struct ConvergenceRecorder {
     // record with the written result (post-step val(Rd)).
     if ((Steps & 1) == 0 && !Execs.empty())
       Execs.back().Result = S.Regs.val(Execs.back().I.Rd);
-    Timeline.push_back(S.fingerprint());
     if (Steps % Stride)
       return;
     if (Snaps.size() >= MaxSnaps) {
@@ -451,8 +428,7 @@ struct ConvergenceRecorder {
 
 /// Sparse differential replay of one register-site continuation against
 /// the recorded reference instruction stream: the big accelerator for
-/// runs that never re-join the reference (long-latency Detected runs and
-/// color-divergent Masked runs), which full-state simulation can only
+/// register-site continuations, which full-state simulation can only
 /// classify step by step.
 ///
 /// The soundness backbone is *structural lockstep*: as long as every
@@ -515,10 +491,10 @@ struct DeferredBail {
 
 std::optional<Verdict>
 differentialReplay(const ExecEngine &E, const StepPolicy &Policy,
-                   const ConvergenceContext &Conv, const FaultSite &Site,
+                   const ReplayContext &Conv, const FaultSite &Site,
                    int64_t Value, const MachineState &RefFinal,
                    uint64_t RefSteps, ZapTag Z, MachineState &S,
-                   uint64_t &AtSteps, size_t &TraceLen, ConvergenceHit *Hit,
+                   uint64_t &AtSteps, size_t &TraceLen, uint64_t *Skipped,
                    DeferredBail *DB = nullptr) {
   const AccessLog &AL = *Conv.Accesses;
   const std::vector<ExecRec> &Execs = *Conv.Execs;
@@ -535,8 +511,8 @@ differentialReplay(const ExecEngine &E, const StepPolicy &Policy,
     for (const auto &P : T.V)
       K = std::min(K, AL.firstAccessAfter(Reg::fromDenseIndex(P.first), Cur));
     if (K == AccessLog::None) {
-      if (Hit)
-        Hit->Skipped = RefSteps - InjectedAt;
+      if (Skipped)
+        *Skipped = RefSteps - InjectedAt;
       // The faulty final state is RefFinal with the taint payloads patched
       // in — identical everywhere else — so the similarity check reduces
       // to the tainted registers; no state copy needed.
@@ -609,12 +585,8 @@ differentialReplay(const ExecEngine &E, const StepPolicy &Policy,
     }
     Cur = K;
     if (T.empty()) {
-      if (Hit) {
-        Hit->Hit = true;
-        Hit->Window = K - InjectedAt;
-        Hit->Saved = RefSteps - K;
-        Hit->Skipped = K - InjectedAt;
-      }
+      if (Skipped)
+        *Skipped = K - InjectedAt;
       return Verdict::Masked;
     }
   }
@@ -637,8 +609,8 @@ differentialReplay(const ExecEngine &E, const StepPolicy &Policy,
     S = std::move(Ref);
     TraceLen = Base.TraceLen + Replayed.size();
     AtSteps = Resume;
-    if (Hit)
-      Hit->Skipped = Resume - InjectedAt;
+    if (Skipped)
+      *Skipped = Resume - InjectedAt;
     patchTaint(S, T);
   } else {
     injectFault(S, Site, Value);
@@ -649,7 +621,7 @@ differentialReplay(const ExecEngine &E, const StepPolicy &Policy,
 /// Maps a finished continuation's RunStatus to its verdict — the single
 /// source of truth shared by the scalar classifier and the batched lane
 /// path, so the two can never drift. Only the Halted case consults the
-/// final state; Converged was already proven Masked by the probe's Verify.
+/// final state.
 Verdict verdictForStatus(RunStatus St, const PrefixTracker &Prefix,
                          const OutputTrace &RefTrace, ZapTag Z,
                          const MachineState &S, const MachineState &RefFinal) {
@@ -660,8 +632,6 @@ Verdict verdictForStatus(RunStatus St, const PrefixTracker &Prefix,
     return Verdict::Stuck;
   case RunStatus::FaultDetected:
     return Prefix.Diverged ? Verdict::DetectedBadPrefix : Verdict::Detected;
-  case RunStatus::Converged:
-    return Verdict::Masked;
   case RunStatus::Halted:
     break;
   }
@@ -680,31 +650,17 @@ Verdict verdictForStatus(RunStatus St, const PrefixTracker &Prefix,
 /// engines are observationally identical, for every engine.
 ///
 /// With \p Conv, the differential replay above tries to discharge the run
-/// first; what it cannot discharge is simulated concretely, with fetch
-/// boundaries probing for re-convergence: a fingerprint match at step
-/// index Idx gates a reconstruction of the reference state at Idx
-/// (nearest snapshot + replay) and a full state-equality check. When the
-/// states are exactly equal, the outputs so far are exactly the reference
-/// prefix at Idx and the tracker never diverged, determinism makes the
-/// rest of the run identical to the reference tail: it halts, completes
-/// the reference trace and lands in the reference final state — which
-/// similarStates accepts reflexively — so the full run's verdict would be
-/// Masked. Hence RunStatus::Converged maps to Verdict::Masked with the
-/// remaining RefSteps - Idx transitions skipped, and the accelerated
-/// table folds bit-identically onto the baseline. (The budget never cuts
-/// a converged run short of what the probe proves: remaining budget at
-/// Idx is RefSteps - Idx + ExtraSteps, and the exit check runs before the
-/// budget check.)
+/// first; what it cannot discharge is simulated concretely from wherever
+/// the replay bailed.
 Verdict classifyContinuation(const ExecEngine &E, Addr ExitAddr,
                              const StepPolicy &Policy, uint64_t ExtraSteps,
                              const OutputTrace &RefTrace,
                              const MachineState &RefFinal, uint64_t RefSteps,
                              MachineState S, uint64_t AtSteps, size_t TraceLen,
                              const FaultSite &Site, int64_t Value,
-                             const ConvergenceContext *Conv = nullptr,
-                             ConvergenceHit *Hit = nullptr) {
+                             const ReplayContext *Conv = nullptr,
+                             uint64_t *Skipped = nullptr) {
   ZapTag Z = ZapTag::color(faultColor(S, Site));
-  uint64_t InjectedAt = AtSteps;
 
   if (Conv && Conv->Accesses && Conv->Execs && !Conv->Execs->empty() &&
       Site.K == FaultSite::Kind::Register && !Site.R.isPC()) {
@@ -714,7 +670,7 @@ Verdict classifyContinuation(const ExecEngine &E, Addr ExitAddr,
     // repositions S/AtSteps/TraceLen with the taint already injected.
     if (std::optional<Verdict> V =
             differentialReplay(E, Policy, *Conv, Site, Value, RefFinal,
-                               RefSteps, Z, S, AtSteps, TraceLen, Hit))
+                               RefSteps, Z, S, AtSteps, TraceLen, Skipped))
       return *V;
   } else {
     injectFault(S, Site, Value);
@@ -723,49 +679,9 @@ Verdict classifyContinuation(const ExecEngine &E, Addr ExitAddr,
   uint64_t Budget = RefSteps - AtSteps + ExtraSteps;
   PrefixTracker Prefix{RefTrace, TraceLen};
 
-  ExecEngine::ConvergenceProbe Probe;
-  const ExecEngine::ConvergenceProbe *ProbePtr = nullptr;
-  uint64_t ConvIdx = 0;
-  if (Conv) {
-    Probe.Timeline = Conv->Timeline->data();
-    Probe.Size = Conv->Timeline->size();
-    Probe.StartStep = AtSteps;
-    Probe.Mask = ProbeMask;
-    Probe.Verify = [&](const MachineState &FS, uint64_t Idx) {
-      // A diverged output can never fold into Masked; let the run finish
-      // and classify naturally.
-      if (Prefix.Diverged)
-        return false;
-      // Reconstruct the reference state at Idx from the nearest snapshot
-      // at or below it; counting the replay's outputs also recovers the
-      // reference trace length at Idx.
-      const UntypedSnapshot &Base = (*Conv->Snaps)[Idx / Conv->Stride];
-      assert(Base.Steps <= Idx && "snapshot stride invariant violated");
-      MachineState Ref = Base.S;
-      OutputTrace Replayed;
-      E.replaySteps(Ref, Idx - Base.Steps, Replayed, Policy);
-      if (Prefix.MatchPos != Base.TraceLen + Replayed.size())
-        return false;
-      if (!(FS == Ref))
-        return false; // fingerprint collision — the guard held
-      ConvIdx = Idx;
-      return true;
-    };
-    ProbePtr = &Probe;
-  }
-
   RunStatus St = E.runContinuation(
       S, ExitAddr, Budget, Policy,
-      [&Prefix](const QueueEntry &Out) { Prefix.track(Out); }, ProbePtr);
-
-  if (St == RunStatus::Converged && Hit) {
-    Hit->Hit = true;
-    // The window is measured from the injection, not the skip's resume
-    // point: the skipped prefix is part of the divergence window even
-    // though it was never simulated.
-    Hit->Window = ConvIdx - InjectedAt;
-    Hit->Saved = RefSteps - ConvIdx;
-  }
+      [&Prefix](const QueueEntry &Out) { Prefix.track(Out); });
   return verdictForStatus(St, Prefix, RefTrace, Z, S, RefFinal);
 }
 
@@ -1094,18 +1010,16 @@ bool applyShardSlice(const CampaignOptions &Opts, const TheoremConfig &Config,
 
 /// Phase 3, untyped: classifies every task in parallel on the raw
 /// semantics — with or without the recovery layer — and merges verdicts,
-/// violations and recovery stats into \p R deterministically. A non-empty
-/// \p Timeline (per-step reference fingerprints, recorded by phase 1 when
-/// convergence is on) arms the early-exit probe; \p ConvSnaps are the
-/// dense reconstruction snapshots (stride \p ConvStride) shared by the
-/// probe's Verify and the lockstep-prefix skip, which \p Accesses drives.
+/// violations and recovery stats into \p R deterministically. Non-empty
+/// \p ConvSnaps (dense reconstruction snapshots of stride \p ConvStride,
+/// recorded by phase 1 when convergence is on) arm the differential
+/// replay, which \p Accesses and \p Execs drive.
 void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
                           const CampaignOptions &Opts,
                           const std::vector<InjectionTask> &Tasks,
                           const std::vector<UntypedSnapshot> &Snaps,
                           const OutputTrace &RefTrace,
                           const MachineState &RefFinal, uint64_t RefSteps,
-                          const std::vector<uint64_t> &Timeline,
                           const std::vector<UntypedSnapshot> &ConvSnaps,
                           uint64_t ConvStride, const AccessLog *Accesses,
                           const std::vector<ExecRec> *Execs,
@@ -1140,16 +1054,15 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
   }
 
   bool Recover = Config.Recovery.Enabled;
-  bool Converge =
-      !Recover && Opts.Converge && !Timeline.empty() && !ConvSnaps.empty();
+  bool Converge = !Recover && Opts.Converge && !ConvSnaps.empty();
   R.Stats.Converge = Converge;
-  ConvergenceContext Conv{&Timeline, &ConvSnaps,
-                          std::max<uint64_t>(1, ConvStride), Accesses, Execs};
+  ReplayContext Conv{&ConvSnaps, std::max<uint64_t>(1, ConvStride), Accesses,
+                     Execs};
   Addr ExitAddr = Prog.exitAddress();
   std::vector<uint8_t> Verdicts(Tasks.size(), 0);
   std::vector<std::string> Details(Tasks.size());
   std::vector<RecoveryStats> TaskStats(Recover ? Tasks.size() : 0);
-  std::vector<ConvergenceHit> Hits(Converge ? Tasks.size() : 0);
+  std::vector<uint64_t> Skipped(Converge ? Tasks.size() : 0);
   auto RunOne = [&](uint64_t I) {
     const InjectionTask &T = Tasks[I];
     const UntypedSnapshot &Snap = Snaps[T.SnapIdx];
@@ -1176,7 +1089,7 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
       Verdict V = classifyContinuation(
           E, ExitAddr, Config.Policy, Config.ExtraSteps, RefTrace, RefFinal,
           RefSteps, std::move(S), Snap.Steps, TraceLen, T.Site, T.Value,
-          Converge ? &Conv : nullptr, Converge ? &Hits[I] : nullptr);
+          Converge ? &Conv : nullptr, Converge ? &Skipped[I] : nullptr);
       Verdicts[I] = (uint8_t)V;
       if (!isBenign(V))
         Details[I] =
@@ -1252,11 +1165,9 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
       std::vector<MachineState> States;
       std::vector<ZapTag> Zs;
       std::vector<PrefixTracker> Prefixes;
-      std::vector<uint64_t> ConvIdx;
       std::vector<LaneOutcome> Outs;
       explicit LaneScratch(unsigned W)
-          : Bank(W), States(W), Zs(W, ZapTag::color(Color::Green)),
-            ConvIdx(W, 0), Outs(W) {
+          : Bank(W), States(W), Zs(W, ZapTag::color(Color::Green)), Outs(W) {
         Prefixes.reserve(W);
       }
       /// Rebinds slot \p L to a fresh copy of \p Base minus the value
@@ -1296,7 +1207,6 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
       }
       const MachineState &Base = *BasePtr;
       std::vector<PrefixTracker> &Prefixes = SC.Prefixes;
-      std::vector<uint64_t> &ConvIdx = SC.ConvIdx;
       Prefixes.clear();
       for (unsigned L = 0; L != W; ++L) {
         const InjectionTask &T = Tasks[Idx[L]];
@@ -1315,41 +1225,6 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
         Prefixes[L].track(Out);
       };
 
-      // Lanes probe the same boundary indices in lockstep, so the
-      // reference reconstruction is cached across the group — one
-      // snapshot replay serves up to W fingerprint matches.
-      struct RefCache {
-        uint64_t Idx = ~uint64_t{0};
-        MachineState Ref;
-        size_t TraceLen = 0;
-      } Cache;
-      LaneProbe Probe;
-      if (Converge) {
-        Probe.Timeline = Timeline.data();
-        Probe.Size = Timeline.size();
-        Probe.StartStep = Snap.Steps;
-        Probe.Mask = ProbeMask;
-        Probe.Verify = [&](unsigned L, const MachineState &FS, uint64_t Idx) {
-          if (Prefixes[L].Diverged)
-            return false;
-          if (Cache.Idx != Idx) {
-            const UntypedSnapshot &Base = ConvSnaps[Idx / Conv.Stride];
-            assert(Base.Steps <= Idx && "snapshot stride invariant violated");
-            MachineState Ref = Base.S;
-            OutputTrace Replayed;
-            E.replaySteps(Ref, Idx - Base.Steps, Replayed, Config.Policy);
-            Cache = {Idx, std::move(Ref), Base.TraceLen + Replayed.size()};
-          }
-          if (Prefixes[L].MatchPos != Cache.TraceLen)
-            return false;
-          if (!(FS == Cache.Ref))
-            return false; // fingerprint collision — the guard held
-          ConvIdx[L] = Idx;
-          return true;
-        };
-        GSpec.Probe = &Probe;
-      }
-
       LaneOutcome *Outs = SC.Outs.data();
       LE.run(SC.States.data(), W, GSpec, Outs, SC.Bank);
 
@@ -1357,11 +1232,6 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
       for (unsigned L = 0; L != W; ++L) {
         uint64_t I = Idx[L];
         const InjectionTask &T = Tasks[I];
-        if (Outs[L].Status == RunStatus::Converged && Converge) {
-          Hits[I].Hit = true;
-          Hits[I].Window = ConvIdx[L] - Snap.Steps;
-          Hits[I].Saved = RefSteps - ConvIdx[L];
-        }
         Verdict V = verdictForStatus(Outs[L].Status, Prefixes[L], RefTrace,
                                      SC.Zs[L], SC.States[L], RefFinal);
         Verdicts[I] = (uint8_t)V;
@@ -1388,16 +1258,14 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
     // step \p Resume, where the caller's rolled reconstruction \p Ref
     // already sits; each lane is that state with its own taint payloads
     // patched in (exactly the repositioned state the scalar bail path
-    // builds). The lanes then run only the post-bail tail, probing for
-    // re-convergence on the way, and map through the shared verdict
-    // logic.
+    // builds). The lanes then run only the post-bail tail and map through
+    // the shared verdict logic.
     auto RunLaneGroupAtResume = [&](LaneScratch &SC, const BailEntry *Ent,
                                     unsigned W, LaneBlockStats &BS,
                                     const MachineState &Ref,
                                     size_t TraceLenAt) {
       uint64_t Resume = Ent[0].Resume;
       std::vector<PrefixTracker> &Prefixes = SC.Prefixes;
-      std::vector<uint64_t> &ConvIdx = SC.ConvIdx;
       Prefixes.clear();
       for (unsigned L = 0; L != W; ++L) {
         const InjectionTask &T = Tasks[Ent[L].Task];
@@ -1413,7 +1281,7 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
         // prefixes are re-simulated, not skipped" threshold, so the
         // lockstep-skip statistics fold onto the scalar sweep's.
         if (Resume > Snap.Steps + 64)
-          Hits[Ent[L].Task].Skipped = Resume - Snap.Steps;
+          Skipped[Ent[L].Task] = Resume - Snap.Steps;
       }
 
       LaneGroupSpec GSpec;
@@ -1425,51 +1293,6 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
         Prefixes[L].track(Out);
       };
 
-      struct RefCache {
-        uint64_t Idx = ~uint64_t{0};
-        MachineState Ref;
-        size_t TraceLen = 0;
-      } Cache;
-      LaneProbe Probe;
-      Probe.Timeline = Timeline.data();
-      Probe.Size = Timeline.size();
-      Probe.StartStep = Resume;
-      Probe.Mask = ProbeMask;
-      Probe.Verify = [&](unsigned L, const MachineState &FS, uint64_t Idx) {
-        if (Prefixes[L].Diverged)
-          return false;
-        if (Cache.Idx != Idx) {
-          // Reconstruct from whichever reference state sits closest below
-          // Idx: the previous cache entry (probe indices only grow, so it
-          // rolls forward in place), the group base at Resume, or the
-          // stride snapshot.
-          const UntypedSnapshot &B = ConvSnaps[Idx / Conv.Stride];
-          assert(B.Steps <= Idx && "snapshot stride invariant violated");
-          OutputTrace Rep;
-          if (Cache.Idx != ~uint64_t{0} && Cache.Idx <= Idx &&
-              Cache.Idx >= B.Steps && Cache.Idx >= Resume) {
-            E.replaySteps(Cache.Ref, Idx - Cache.Idx, Rep, Config.Policy);
-            Cache.TraceLen += Rep.size();
-            Cache.Idx = Idx;
-          } else if (Resume >= B.Steps) {
-            MachineState R2 = Ref;
-            E.replaySteps(R2, Idx - Resume, Rep, Config.Policy);
-            Cache = {Idx, std::move(R2), TraceLenAt + Rep.size()};
-          } else {
-            MachineState R2 = B.S;
-            E.replaySteps(R2, Idx - B.Steps, Rep, Config.Policy);
-            Cache = {Idx, std::move(R2), B.TraceLen + Rep.size()};
-          }
-        }
-        if (Prefixes[L].MatchPos != Cache.TraceLen)
-          return false;
-        if (!(FS == Cache.Ref))
-          return false; // fingerprint collision — the guard held
-        ConvIdx[L] = Idx;
-        return true;
-      };
-      GSpec.Probe = &Probe;
-
       LaneOutcome *Outs = SC.Outs.data();
       LE.run(SC.States.data(), W, GSpec, Outs, SC.Bank);
 
@@ -1478,11 +1301,6 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
         uint64_t I = Ent[L].Task;
         const InjectionTask &T = Tasks[I];
         const UntypedSnapshot &Snap = Snaps[T.SnapIdx];
-        if (Outs[L].Status == RunStatus::Converged) {
-          Hits[I].Hit = true;
-          Hits[I].Window = ConvIdx[L] - Snap.Steps;
-          Hits[I].Saved = RefSteps - ConvIdx[L];
-        }
         Verdict V = verdictForStatus(Outs[L].Status, Prefixes[L], RefTrace,
                                      SC.Zs[L], SC.States[L], RefFinal);
         Verdicts[I] = (uint8_t)V;
@@ -1529,7 +1347,7 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
           DeferredBail DB;
           if (std::optional<Verdict> V = differentialReplay(
                   E, Config.Policy, Conv, T.Site, T.Value, RefFinal, RefSteps,
-                  Z, Untouched, AtSteps, TraceLen, &Hits[I], &DB)) {
+                  Z, Untouched, AtSteps, TraceLen, &Skipped[I], &DB)) {
             Verdicts[I] = (uint8_t)*V;
             if (!isBenign(*V))
               Details[I] = describeInjection(T.Site, T.Value, Snap.Steps,
@@ -1605,24 +1423,16 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
   }
 
   // Deterministic merge: counters sum (order-independent), violations keep
-  // enumeration order, the window maximum commutes.
+  // enumeration order.
   for (size_t I = 0; I != Tasks.size(); ++I) {
     R.Table[(Verdict)Verdicts[I]] += 1;
     if (!Details[I].empty())
       AddViolation(std::move(Details[I]));
     if (Recover)
       R.Recovery.merge(TaskStats[I]);
-    if (Converge) {
-      if (Hits[I].Hit) {
-        ++R.Stats.EarlyExits;
-        R.Stats.WindowSum += Hits[I].Window;
-        R.Stats.MaxWindow = std::max(R.Stats.MaxWindow, Hits[I].Window);
-        R.Stats.StepsSaved += Hits[I].Saved;
-      }
-      if (Hits[I].Skipped) {
-        ++R.Stats.LockstepSkips;
-        R.Stats.LockstepSteps += Hits[I].Skipped;
-      }
+    if (Converge && Skipped[I]) {
+      ++R.Stats.LockstepSkips;
+      R.Stats.LockstepSteps += Skipped[I];
     }
   }
   if (JE)
@@ -1687,12 +1497,10 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
       Snaps.push_back({Run.state(), Run.steps(), Run.trace().size()});
   };
 
-  // The convergence recorder: the per-step fingerprint timeline (8
-  // bytes/step) the probe compares faulty continuations against, the
-  // register access log for the lockstep-prefix skip, and dense
-  // reconstruction snapshots. Typed and recovery campaigns never probe,
-  // so they skip the recording.
-  ConvergenceRecorder CR;
+  // The differential replay's recorder: the register access log, the
+  // executed instruction stream and dense reconstruction snapshots. Typed
+  // and recovery campaigns never replay, so they skip the recording.
+  ReplayRecorder CR;
   CR.Enabled = !Typed && !Config.Recovery.Enabled && Opts.Converge;
 
   // Step count of the latest point where a control instruction was
@@ -1803,7 +1611,7 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
     }
   } else {
     classifyUntypedTasks(*CP.Prog, Config, Opts, Tasks, Snaps, RefFinal.Trace,
-                         RefFinal.S, RefFinal.Steps, CR.Timeline, CR.Snaps,
+                         RefFinal.S, RefFinal.Steps, CR.Snaps,
                          CR.Stride, &CR.Accesses, &CR.Execs, R);
   }
 
@@ -1863,7 +1671,7 @@ CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
       programContentHash(Prog.code(), Prog.entryAddress(), ExitAddr, S);
   OutputTrace Trace;
   uint64_t Steps = 0;
-  ConvergenceRecorder CR;
+  ReplayRecorder CR;
   CR.Enabled = !Config.Recovery.Enabled && Opts.Converge;
   std::vector<UntypedSnapshot> Snaps;
   int64_t LastCtrl = -1;
@@ -1926,8 +1734,7 @@ CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
 
   Clock::time_point InjectStart = Clock::now();
   classifyUntypedTasks(Prog, Config, Opts, Tasks, Snaps, Trace, S, Steps,
-                       CR.Timeline, CR.Snaps, CR.Stride, &CR.Accesses,
-                       &CR.Execs, R);
+                       CR.Snaps, CR.Stride, &CR.Accesses, &CR.Execs, R);
   if (Opts.ShardRetiredHook)
     Opts.ShardRetiredHook(R.Stats.ShardIndex, R.Stats.ShardCount);
   R.Stats.WallSeconds = secondsSince(InjectStart);
@@ -1940,21 +1747,11 @@ CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
 namespace {
 
 /// Classifies one explicit injection plan on the raw semantics via \p E.
-/// Convergence probing applies only to the final continuation — the
-/// interim replays between scheduled injections must execute for real,
-/// since the next injection re-diverges the run anyway. The early exit is
-/// sound by the same argument as the single-fault classifier: exact state
-/// equality plus an exact output prefix at the same step index makes the
-/// rest of the run identical to the reference tail, whose verdict here is
-/// Masked (similarStates is reflexive and the cross-color guard only
-/// *skips* the similarity check).
 Verdict classifyPlan(const ExecEngine &E, const Program &Prog,
                      const StepPolicy &Policy, uint64_t ExtraSteps,
                      const OutputTrace &RefTrace, const MachineState &RefFinal,
                      uint64_t RefSteps, MachineState S,
-                     const InjectionPlan &Plan,
-                     const ConvergenceContext *Conv = nullptr,
-                     ConvergenceHit *Hit = nullptr) {
+                     const InjectionPlan &Plan) {
   PrefixTracker Prefix{RefTrace, 0};
 
   uint64_t Now = 0;
@@ -1980,36 +1777,10 @@ Verdict classifyPlan(const ExecEngine &E, const Program &Prog,
     injectFault(S, P.Site, P.Value);
   }
 
-  ExecEngine::ConvergenceProbe Probe;
-  const ExecEngine::ConvergenceProbe *ProbePtr = nullptr;
-  uint64_t ConvIdx = 0;
-  if (Conv) {
-    Probe.Timeline = Conv->Timeline->data();
-    Probe.Size = Conv->Timeline->size();
-    Probe.StartStep = Now;
-    Probe.Mask = ProbeMask;
-    Probe.Verify = [&](const MachineState &FS, uint64_t Idx) {
-      if (Prefix.Diverged)
-        return false;
-      const UntypedSnapshot &Base = (*Conv->Snaps)[Idx / Conv->Stride];
-      assert(Base.Steps <= Idx && "snapshot stride invariant violated");
-      MachineState Ref = Base.S;
-      OutputTrace Replayed;
-      E.replaySteps(Ref, Idx - Base.Steps, Replayed, Policy);
-      if (Prefix.MatchPos != Base.TraceLen + Replayed.size())
-        return false;
-      if (!(FS == Ref))
-        return false;
-      ConvIdx = Idx;
-      return true;
-    };
-    ProbePtr = &Probe;
-  }
-
   uint64_t Budget = (RefSteps > Now ? RefSteps - Now : 0) + ExtraSteps;
   RunStatus St = E.runContinuation(
       S, Prog.exitAddress(), Budget, Policy,
-      [&Prefix](const QueueEntry &Out) { Prefix.track(Out); }, ProbePtr);
+      [&Prefix](const QueueEntry &Out) { Prefix.track(Out); });
   switch (St) {
   case RunStatus::OutOfSteps:
     return Verdict::BudgetExhausted;
@@ -2017,13 +1788,6 @@ Verdict classifyPlan(const ExecEngine &E, const Program &Prog,
     return Verdict::Stuck;
   case RunStatus::FaultDetected:
     return Prefix.Diverged ? Verdict::DetectedBadPrefix : Verdict::Detected;
-  case RunStatus::Converged:
-    if (Hit) {
-      Hit->Hit = true;
-      Hit->Window = ConvIdx - Now;
-      Hit->Saved = RefSteps - ConvIdx;
-    }
-    return Verdict::Masked;
   case RunStatus::Halted:
     break;
   }
@@ -2079,42 +1843,8 @@ CampaignResult talft::runInjectionPlans(const PlanCampaign &Spec,
   R.ProgramHash =
       programContentHash(Spec.Prog->code(), Spec.Prog->entryAddress(),
                          Spec.Prog->exitAddress(), *S0);
-  // With convergence on, the reference run goes stepwise so the per-step
-  // fingerprint timeline and periodic snapshots can be recorded; the loop
-  // mirrors talft::run's stopping conditions exactly (budget before exit).
-  RunResult RefRun;
-  std::vector<uint64_t> Timeline;
-  std::vector<UntypedSnapshot> PlanSnaps;
-  constexpr uint64_t PlanStride = 64;
-  if (Opts.Converge) {
-    Timeline.push_back(Final.fingerprint());
-    PlanSnaps.push_back({Final, 0, 0});
-    RefRun.Status = RunStatus::OutOfSteps;
-    while (RefRun.Steps < Spec.MaxReferenceSteps) {
-      if (atExit(Final, Spec.Prog->exitAddress())) {
-        RefRun.Status = RunStatus::Halted;
-        break;
-      }
-      StepResult SR = E.step(Final, Spec.Policy);
-      if (SR.Status == StepStatus::Stuck) {
-        RefRun.Status = RunStatus::Stuck;
-        break;
-      }
-      ++RefRun.Steps;
-      if (SR.Output)
-        RefRun.Trace.push_back(*SR.Output);
-      if (SR.Status == StepStatus::Fault) {
-        RefRun.Status = RunStatus::FaultDetected;
-        break;
-      }
-      Timeline.push_back(Final.fingerprint());
-      if (RefRun.Steps % PlanStride == 0)
-        PlanSnaps.push_back({Final, RefRun.Steps, RefRun.Trace.size()});
-    }
-  } else {
-    RefRun = E.run(Final, Spec.Prog->exitAddress(), Spec.MaxReferenceSteps,
-                   Spec.Policy);
-  }
+  RunResult RefRun = E.run(Final, Spec.Prog->exitAddress(),
+                           Spec.MaxReferenceSteps, Spec.Policy);
   if (RefRun.Status != RunStatus::Halted) {
     R.Ok = false;
     R.Violations.push_back(formatv("reference run did not halt (%s after %llu steps)",
@@ -2134,16 +1864,11 @@ CampaignResult talft::runInjectionPlans(const PlanCampaign &Spec,
   R.Stats.ThreadsUsed = (unsigned)std::min<uint64_t>(
       Threads, std::max<size_t>(1, Spec.Plans.size()));
 
-  bool Converge = Opts.Converge && !Timeline.empty();
-  R.Stats.Converge = Converge;
-  ConvergenceContext Conv{&Timeline, &PlanSnaps, PlanStride};
   std::vector<uint8_t> Verdicts(Spec.Plans.size(), 0);
-  std::vector<ConvergenceHit> Hits(Converge ? Spec.Plans.size() : 0);
   auto RunOne = [&](uint64_t I) {
-    Verdicts[I] = (uint8_t)classifyPlan(
-        E, *Spec.Prog, Spec.Policy, Spec.ExtraSteps, RefRun.Trace, Final,
-        RefRun.Steps, *S0, Spec.Plans[I], Converge ? &Conv : nullptr,
-        Converge ? &Hits[I] : nullptr);
+    Verdicts[I] = (uint8_t)classifyPlan(E, *Spec.Prog, Spec.Policy,
+                                        Spec.ExtraSteps, RefRun.Trace, Final,
+                                        RefRun.Steps, *S0, Spec.Plans[I]);
   };
   dispatchTasks(Threads, Spec.Plans.size(), RunOne, Opts.ProgressInterval,
                 Opts.Progress);
@@ -2151,12 +1876,6 @@ CampaignResult talft::runInjectionPlans(const PlanCampaign &Spec,
   for (size_t I = 0; I != Spec.Plans.size(); ++I) {
     Verdict V = (Verdict)Verdicts[I];
     R.Table[V] += 1;
-    if (Converge && Hits[I].Hit) {
-      ++R.Stats.EarlyExits;
-      R.Stats.WindowSum += Hits[I].Window;
-      R.Stats.MaxWindow = std::max(R.Stats.MaxWindow, Hits[I].Window);
-      R.Stats.StepsSaved += Hits[I].Saved;
-    }
     // Multi-fault plans legitimately produce SilentCorruption (that is what
     // the double-fault ablation demonstrates); only a wedged machine is a
     // campaign-level violation here.
@@ -2210,10 +1929,6 @@ void talft::foldShardResult(CampaignResult &Acc, const CampaignResult &Shard,
   if (Acc.CfiFirstViolation.empty())
     Acc.CfiFirstViolation = Shard.CfiFirstViolation;
   A.Converge = A.Converge || B.Converge;
-  A.EarlyExits += B.EarlyExits;
-  A.WindowSum += B.WindowSum;
-  A.MaxWindow = std::max(A.MaxWindow, B.MaxWindow);
-  A.StepsSaved += B.StepsSaved;
   A.LockstepSkips += B.LockstepSkips;
   A.LockstepSteps += B.LockstepSteps;
   A.Lanes = A.Lanes || B.Lanes;
@@ -2294,19 +2009,9 @@ std::string talft::campaignToJson(const CampaignResult &R, unsigned Indent) {
                    (unsigned long long)R.Recovery.Rollbacks,
                    (unsigned long long)R.Recovery.Checkpoints,
                    (unsigned long long)R.Recovery.ReplayedOutputs);
-  S += P + formatv("  \"convergence\": {\"enabled\": %s, \"early_exits\": %llu, "
-                   "\"mean_window\": %.2f, \"window_sum\": %llu, "
-                   "\"max_window\": %llu, "
-                   "\"steps_saved\": %llu, \"lockstep_skips\": %llu, "
-                   "\"lockstep_steps\": %llu},\n",
+  S += P + formatv("  \"convergence\": {\"enabled\": %s, "
+                   "\"lockstep_skips\": %llu, \"lockstep_steps\": %llu},\n",
                    R.Stats.Converge ? "true" : "false",
-                   (unsigned long long)R.Stats.EarlyExits,
-                   R.Stats.EarlyExits
-                       ? (double)R.Stats.WindowSum / (double)R.Stats.EarlyExits
-                       : 0.0,
-                   (unsigned long long)R.Stats.WindowSum,
-                   (unsigned long long)R.Stats.MaxWindow,
-                   (unsigned long long)R.Stats.StepsSaved,
                    (unsigned long long)R.Stats.LockstepSkips,
                    (unsigned long long)R.Stats.LockstepSteps);
   S += P + formatv("  \"lanes\": {\"enabled\": %s, \"width\": %u, "

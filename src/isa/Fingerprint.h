@@ -1,27 +1,24 @@
-//===- isa/Fingerprint.h - Incremental state fingerprints -----------------===//
+//===- isa/Fingerprint.h - State and program hash primitives --------------===//
 //
 // Part of the TALFT project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Primitives for the 64-bit Zobrist-style machine-state fingerprint the
-/// fault campaign uses to detect re-convergence with the reference run.
-/// Every mutable component of a MachineState maintains its own fingerprint
-/// in O(1) per write:
+/// Primitives for the 64-bit machine-state fingerprint
+/// (recomputeFingerprint in isa/MachineState.h) and the hashes built on it:
+/// the whole-program content hash that keys the serve memo
+/// (isa/ProgramHash.h) and the serve options digest.
 ///
-///   - RegisterFile and ValueMemory XOR one pseudorandom word per cell
-///     (classic Zobrist hashing, except the "random table" is a mix of the
-///     slot salt and the unbounded cell value);
-///   - StoreQueue uses a polynomial hash in an odd base B over positions
-///     counted from the back, so both pushFront (append the highest-degree
-///     term) and popBack (subtract the constant term, divide by B — B is
-///     odd, hence invertible mod 2^64) stay O(1) while the hash remains a
-///     function of the queue *contents only*, not its history.
+///   - register and value-memory cells each hash to one pseudorandom word
+///     (a mix of the slot salt and the unbounded cell value), XORed
+///     together in Zobrist style;
+///   - the store queue is a polynomial hash in an odd base over positions
+///     counted from the back, so it depends on the queue *contents* and
+///     their order.
 ///
-/// Fingerprints are advisory: equal states always have equal fingerprints,
-/// but the campaign treats a fingerprint match only as a gate before a full
-/// state-equality check — a collision must never change a verdict.
+/// Every constant here is part of the memo-key format: changing one moves
+/// every program hash.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,20 +71,8 @@ constexpr uint64_t queueEntry(Addr A, int64_t V) {
   return mix(mix(QueueDomain + (uint64_t)A) ^ mix((uint64_t)V));
 }
 
-/// The polynomial base for the store-queue hash. Odd, so it is a unit in
-/// Z/2^64 and popBack can divide the hash by it.
+/// The polynomial base for the store-queue hash.
 inline constexpr uint64_t QueueBase = 0x2545f4914f6cdd1dull;
-
-/// Modular inverse of QueueBase mod 2^64 via Newton iteration (each round
-/// doubles the number of correct low bits; 6 rounds cover 64).
-constexpr uint64_t inverseOdd(uint64_t B) {
-  uint64_t Inv = B; // correct to 3 bits for odd B
-  for (int I = 0; I != 6; ++I)
-    Inv *= 2 - B * Inv;
-  return Inv;
-}
-inline constexpr uint64_t QueueBaseInv = inverseOdd(QueueBase);
-static_assert(QueueBase * QueueBaseInv == 1, "QueueBase must be invertible");
 
 /// Hash of a fetched instruction sitting in the instruction register.
 inline uint64_t instHash(const Inst &I) {

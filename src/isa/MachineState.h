@@ -19,6 +19,7 @@
 #ifndef TALFT_ISA_MACHINESTATE_H
 #define TALFT_ISA_MACHINESTATE_H
 
+#include "isa/Fingerprint.h"
 #include "isa/Memory.h"
 #include "isa/RegisterFile.h"
 #include "isa/StoreQueue.h"
@@ -57,29 +58,16 @@ struct MachineState {
   Value pcG() const { return Regs.get(Reg::pcG()); }
   Value pcB() const { return Regs.get(Reg::pcB()); }
 
-  /// The 64-bit Zobrist fingerprint of the state: an O(1) composition of
-  /// the incrementally-maintained component fingerprints (registers, value
-  /// memory, store queue) plus the instruction-register contribution. Code
-  /// memory is immutable and shared, so it does not participate. Equal
-  /// states always have equal fingerprints; the converse is only
-  /// probabilistic, so consumers must confirm with full equality.
-  uint64_t fingerprint() const {
-    if (Faulted)
-      return fp::FaultedState;
-    return fp::composeState(Regs.fingerprint(), Mem.fingerprint(),
-                            Queue.fingerprint(),
-                            IR ? fp::instHash(*IR) : fp::EmptyIR);
-  }
-
   /// Full structural equality (code memory by identity — campaign states
-  /// share one immutable CodeMemory). This is the expensive check a
-  /// fingerprint match merely gates.
+  /// share one immutable CodeMemory).
   bool operator==(const MachineState &O) const = default;
 };
 
-/// Recomputes the fingerprint of \p S from scratch in O(|state|), walking
-/// every component through its public API. The incremental-maintenance
-/// oracle: must agree with S.fingerprint() after any step sequence.
+/// The 64-bit fingerprint of \p S in O(|state|), walking every component
+/// through its public API: a function of the state's contents only. Code
+/// memory is immutable and shared, so it does not participate. The program
+/// content hash (isa/ProgramHash.h) folds in the initial state's
+/// fingerprint, so this function's value is part of the memo-key format.
 inline uint64_t recomputeFingerprint(const MachineState &S) {
   if (S.Faulted)
     return fp::FaultedState;

@@ -16,7 +16,6 @@
 #ifndef TALFT_ISA_MEMORY_H
 #define TALFT_ISA_MEMORY_H
 
-#include "isa/Fingerprint.h"
 #include "isa/Inst.h"
 #include "isa/Value.h"
 
@@ -69,13 +68,10 @@ public:
   /// Defines (or overwrites) location \p A.
   void set(Addr A, int64_t V) {
     auto It = find(A);
-    if (It != Cells.end() && It->first == A) {
-      Fp ^= fp::memCell(A, It->second) ^ fp::memCell(A, V);
+    if (It != Cells.end() && It->first == A)
       It->second = V;
-      return;
-    }
-    Fp ^= fp::memCell(A, V);
-    Cells.insert(It, {A, V});
+    else
+      Cells.insert(It, {A, V});
   }
 
   bool contains(Addr A) const {
@@ -103,10 +99,6 @@ public:
   auto begin() const { return Cells.begin(); }
   auto end() const { return Cells.end(); }
 
-  /// Zobrist fingerprint of the memory contents, maintained O(1) per
-  /// write: the XOR of one pseudorandom word per defined cell.
-  uint64_t fingerprint() const { return Fp; }
-
   bool operator==(const ValueMemory &O) const = default;
 
 private:
@@ -123,7 +115,6 @@ private:
 
   /// Sorted by address, unique.
   std::vector<std::pair<Addr, int64_t>> Cells;
-  uint64_t Fp = 0;
 };
 
 } // namespace talft

@@ -27,8 +27,6 @@ uint64_t talft::programContentHash(const CodeMemory &Code, Addr Entry,
   }
   H = fp::mix(H ^ fp::mix((uint64_t)Entry));
   H = fp::mix(H ^ fp::mix((uint64_t)Exit));
-  // recomputeFingerprint, not the incremental fingerprint: the oracle form
-  // depends only on the state's contents, never on its mutation history.
   return fp::mix(H ^ recomputeFingerprint(Initial));
 }
 

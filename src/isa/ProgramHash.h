@@ -9,7 +9,7 @@
 /// (address, instruction) pairs of its code memory, its entry and exit
 /// addresses, and the initial machine state (which folds in the data
 /// section and the precondition registers). Built from the same Zobrist
-/// primitives as the per-step state fingerprint (isa/Fingerprint.h), so
+/// primitives as the state fingerprint (isa/Fingerprint.h), so
 /// one instruction, one data cell or one precondition value changing
 /// changes the hash.
 ///

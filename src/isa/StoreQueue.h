@@ -21,7 +21,6 @@
 #ifndef TALFT_ISA_STOREQUEUE_H
 #define TALFT_ISA_STOREQUEUE_H
 
-#include "isa/Fingerprint.h"
 #include "isa/Value.h"
 
 #include <cassert>
@@ -46,13 +45,7 @@ public:
   size_t size() const { return Entries.size(); }
 
   /// stG: pushes onto the front.
-  void pushFront(QueueEntry E) {
-    // The new entry is farthest from the back: it contributes the
-    // highest-degree term of the polynomial hash.
-    Fp += entryHash(E) * BPow;
-    BPow *= fp::QueueBase;
-    Entries.push_front(E);
-  }
+  void pushFront(QueueEntry E) { Entries.push_front(E); }
 
   /// The pair the next stB will check (the back). Requires !empty().
   const QueueEntry &back() const {
@@ -63,10 +56,6 @@ public:
   /// Removes the back entry. Requires !empty().
   void popBack() {
     assert(!empty() && "popBack() on an empty store queue");
-    // Strip the constant term, then shift every remaining entry one
-    // position toward the back (divide by the odd base).
-    Fp = (Fp - entryHash(Entries.back())) * fp::QueueBaseInv;
-    BPow *= fp::QueueBaseInv;
     Entries.pop_back();
   }
 
@@ -87,38 +76,19 @@ public:
   }
 
   /// In-place replacement of entry \p I (indexed from the front), the
-  /// mutation the Q-zap fault rules perform. Goes through the hash so the
-  /// fingerprint stays consistent; the position weight B^d is recomputed by
-  /// a short loop (queues hold at most a few pending stores).
+  /// mutation the Q-zap fault rules perform.
   void setEntry(size_t I, QueueEntry E) {
     assert(I < Entries.size() && "queue index out of range");
-    uint64_t Weight = 1; // B^(distance from the back)
-    for (size_t D = Entries.size() - 1 - I; D; --D)
-      Weight *= fp::QueueBase;
-    Fp += (entryHash(E) - entryHash(Entries[I])) * Weight;
     Entries[I] = E;
   }
 
   auto begin() const { return Entries.begin(); }
   auto end() const { return Entries.end(); }
 
-  /// Polynomial fingerprint of the queue contents, maintained O(1) per
-  /// push/pop: entry at distance d from the back contributes its hash
-  /// times QueueBase^d (mod 2^64). A pure function of the current
-  /// (address, value) sequence, independent of how it was built.
-  uint64_t fingerprint() const { return Fp; }
-
   bool operator==(const StoreQueue &O) const = default;
 
 private:
-  static uint64_t entryHash(const QueueEntry &E) {
-    return fp::queueEntry(E.Address, E.Val);
-  }
-
   std::deque<QueueEntry> Entries;
-  uint64_t Fp = 0;
-  /// QueueBase^size(), maintained alongside Fp.
-  uint64_t BPow = 1;
 };
 
 } // namespace talft

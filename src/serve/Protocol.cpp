@@ -180,10 +180,6 @@ bool talft::serve::campaignFromJson(const JsonValue &V, CampaignResult &R,
   }
   if (const JsonValue *Conv = V.get("convergence")) {
     R.Stats.Converge = Conv->boolAt("enabled", false);
-    R.Stats.EarlyExits = Conv->u64At("early_exits", 0);
-    R.Stats.WindowSum = Conv->u64At("window_sum", 0);
-    R.Stats.MaxWindow = Conv->u64At("max_window", 0);
-    R.Stats.StepsSaved = Conv->u64At("steps_saved", 0);
     R.Stats.LockstepSkips = Conv->u64At("lockstep_skips", 0);
     R.Stats.LockstepSteps = Conv->u64At("lockstep_steps", 0);
   }

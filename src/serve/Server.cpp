@@ -456,9 +456,8 @@ void Server::noteShardRetired(const CampaignResult &R) {
   ++Counters.ShardsRetired;
   Counters.TasksClassified += R.Stats.Tasks + R.Stats.PrunedTasks;
   Counters.ShardSeconds += R.Stats.WallSeconds;
-  Counters.EarlyExits += R.Stats.EarlyExits;
-  Counters.StepsSaved += R.Stats.StepsSaved;
   Counters.LockstepSkips += R.Stats.LockstepSkips;
+  Counters.LockstepSteps += R.Stats.LockstepSteps;
   Counters.LaneGroups += R.Stats.LaneGroups;
   Counters.LaneTasks += R.Stats.LaneTasks;
 }
@@ -878,11 +877,10 @@ std::string Server::statsJson() const {
                (unsigned long long)C.ShardsRetired,
                (unsigned long long)C.TasksClassified, C.ShardSeconds,
                Throughput);
-  S += formatv(", \"convergence\": {\"early_exits\": %llu, "
-               "\"steps_saved\": %llu, \"lockstep_skips\": %llu}",
-               (unsigned long long)C.EarlyExits,
-               (unsigned long long)C.StepsSaved,
-               (unsigned long long)C.LockstepSkips);
+  S += formatv(", \"convergence\": {\"lockstep_skips\": %llu, "
+               "\"lockstep_steps\": %llu}",
+               (unsigned long long)C.LockstepSkips,
+               (unsigned long long)C.LockstepSteps);
   S += formatv(", \"lanes\": {\"groups\": %llu, \"lane_tasks\": %llu}}",
                (unsigned long long)C.LaneGroups,
                (unsigned long long)C.LaneTasks);

@@ -140,9 +140,8 @@ struct ServeCounters {
   uint64_t ShardsRetired = 0;
   uint64_t TasksClassified = 0;
   double ShardSeconds = 0;
-  uint64_t EarlyExits = 0;
-  uint64_t StepsSaved = 0;
   uint64_t LockstepSkips = 0;
+  uint64_t LockstepSteps = 0;
   uint64_t LaneGroups = 0;
   uint64_t LaneTasks = 0;
 };

@@ -33,21 +33,12 @@ public:
   }
 
   RunStatus runContinuation(MachineState &S, Addr ExitAddr, uint64_t Budget,
-                            const StepPolicy &Policy, const OutputSink &OnOutput,
-                            const ConvergenceProbe *Probe) const override {
+                            const StepPolicy &Policy,
+                            const OutputSink &OnOutput) const override {
     uint64_t Taken = 0;
     while (true) {
       if (atExit(S, ExitAddr))
         return RunStatus::Halted;
-      // Convergence probe, only at fetch boundaries (the vm engine probes
-      // at the same points, keeping the probe sequence engine-independent).
-      if (Probe && !S.IR) {
-        uint64_t Idx = Probe->StartStep + Taken;
-        if ((Idx & Probe->Mask) == 0 && Idx < Probe->Size &&
-            S.fingerprint() == Probe->Timeline[Idx] && Probe->Verify &&
-            Probe->Verify(S, Idx))
-          return RunStatus::Converged;
-      }
       if (Taken >= Budget)
         return RunStatus::OutOfSteps;
       StepResult SR = talft::step(S, Policy);

@@ -50,39 +50,6 @@ public:
   /// faulty traces).
   using OutputSink = std::function<void(const QueueEntry &)>;
 
-  /// The convergence early-exit contract of runContinuation. The campaign
-  /// records the reference run's per-step fingerprint timeline; when a
-  /// faulty continuation reaches a fetch boundary (empty instruction
-  /// register) whose fingerprint equals the reference fingerprint at the
-  /// same absolute step index, the engine calls Verify with the state and
-  /// that index. Verify performs the *full* state-equality confirmation —
-  /// the fingerprint match only gates it, a collision must never change a
-  /// verdict — and returns true iff the run has provably re-joined the
-  /// reference, upon which runContinuation returns RunStatus::Converged
-  /// with the state left at the convergence point. Probing happens after
-  /// the exit check and before the budget check, in every engine, so the
-  /// probe sequence (and hence the convergence statistics) is
-  /// engine-independent.
-  struct ConvergenceProbe {
-    /// Timeline[k] = fingerprint of the reference state after k steps;
-    /// Size == reference steps + 1.
-    const uint64_t *Timeline = nullptr;
-    size_t Size = 0;
-    /// Absolute reference-step index of the continuation's starting state
-    /// (the probe index is StartStep + transitions taken so far).
-    uint64_t StartStep = 0;
-    /// Probe only boundaries whose index Idx satisfies (Idx & Mask) == 0
-    /// (Mask + 1 must be a power of two; 0 = every fetch boundary).
-    /// Thinning the probe is verdict-neutral — a run that has re-joined
-    /// the reference stays re-joined, so it converges at the next probed
-    /// boundary instead — and it keeps the fingerprint compose off the
-    /// hot path of continuations that never converge. Both engines apply
-    /// the same mask, so the probe sequence stays engine-independent.
-    uint64_t Mask = 0;
-    /// Full-equality confirmation; called only on a fingerprint match.
-    std::function<bool(const MachineState &S, uint64_t Idx)> Verify;
-  };
-
   virtual ~ExecEngine() = default;
 
   /// Stable engine name ("reference", "vm") used in CLIs and JSON reports.
@@ -106,20 +73,10 @@ public:
   /// exit condition *before* the budget on every transition (unlike run),
   /// so a continuation arriving at the exit block with zero budget left
   /// still counts as Halted. Invokes \p OnOutput for each committed store.
-  /// With a non-null \p Probe, fetch boundaries are additionally checked
-  /// for re-convergence with the reference run (see ConvergenceProbe).
-  /// Returns Halted / FaultDetected / Stuck / OutOfSteps / Converged.
+  /// Returns Halted / FaultDetected / Stuck / OutOfSteps.
   virtual RunStatus runContinuation(MachineState &S, Addr ExitAddr,
                                     uint64_t Budget, const StepPolicy &Policy,
-                                    const OutputSink &OnOutput,
-                                    const ConvergenceProbe *Probe) const = 0;
-
-  /// Probe-less convenience overload.
-  RunStatus runContinuation(MachineState &S, Addr ExitAddr, uint64_t Budget,
-                            const StepPolicy &Policy,
-                            const OutputSink &OnOutput) const {
-    return runContinuation(S, ExitAddr, Budget, Policy, OnOutput, nullptr);
-  }
+                                    const OutputSink &OnOutput) const = 0;
 };
 
 /// The structural small-step interpreter as an engine. Stateless; valid for

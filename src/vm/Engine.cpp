@@ -400,8 +400,7 @@ ReplayResult Engine::replaySteps(MachineState &S, uint64_t NSteps,
 
 RunStatus Engine::runContinuation(MachineState &S, Addr ExitAddr,
                                   uint64_t Budget, const StepPolicy &Policy,
-                                  const OutputSink &OnOutput,
-                                  const ConvergenceProbe *Probe) const {
+                                  const OutputSink &OnOutput) const {
   assert(S.Code == &P.code() && "state executed on a foreign engine");
   uint64_t Taken = 0;
   InFlight Cur(S);
@@ -412,16 +411,6 @@ RunStatus Engine::runContinuation(MachineState &S, Addr ExitAddr,
       Value PcG = S.pcG(), PcB = S.pcB();
       if (ExitAddr != 0 && PcG.N == ExitAddr && PcB.N == ExitAddr)
         return RunStatus::Halted;
-      // Convergence probe at the fetch boundary (S.IR is empty here, so S
-      // is the complete machine state), after the exit check and before
-      // the budget check — the same ordering as the reference engine.
-      if (Probe) {
-        uint64_t Idx = Probe->StartStep + Taken;
-        if ((Idx & Probe->Mask) == 0 && Idx < Probe->Size &&
-            S.fingerprint() == Probe->Timeline[Idx] && Probe->Verify &&
-            Probe->Verify(S, Idx))
-          return RunStatus::Converged;
-      }
       if (Taken >= Budget) {
         Cur.leave(S, P);
         return RunStatus::OutOfSteps;

@@ -49,9 +49,7 @@ public:
                            const StepPolicy &Policy) const override;
   RunStatus runContinuation(MachineState &S, Addr ExitAddr, uint64_t Budget,
                             const StepPolicy &Policy,
-                            const OutputSink &OnOutput,
-                            const ConvergenceProbe *Probe) const override;
-  using ExecEngine::runContinuation;
+                            const OutputSink &OnOutput) const override;
 
 private:
   DecodedProgram P;

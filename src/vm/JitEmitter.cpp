@@ -19,10 +19,8 @@ using namespace talft::vm;
 // The templates hard-code these frame offsets.
 static_assert(offsetof(JitFrame, Cells) == 0);
 static_assert(offsetof(JitFrame, Remaining) == 8);
-static_assert(offsetof(JitFrame, ProbeCountdown) == 16);
-static_assert(offsetof(JitFrame, Dirty) == 24);
-static_assert(offsetof(JitFrame, ExitAddr) == 32);
-static_assert(offsetof(JitFrame, Entries) == 40);
+static_assert(offsetof(JitFrame, ExitAddr) == 16);
+static_assert(offsetof(JitFrame, Entries) == 24);
 // ...and this cell layout (color byte at +0, payload at +8, 16B stride).
 static_assert(sizeof(Value) == 16);
 static_assert(offsetof(Value, C) == 0);
@@ -31,9 +29,8 @@ static_assert((uint8_t)Color::Green == 0);
 
 //===----------------------------------------------------------------------===//
 // Out-of-line execution helpers (SysV: rdi = frame, esi = packed operands).
-// Register writes go through the raw cells — the driver folds fingerprints
-// for them — while queue/memory mutations use the eager abstractions, so
-// their component fingerprints never go stale. Returns 0 = ok, 1 = fault
+// Register writes go through the raw cells, queue/memory mutations through
+// the StoreQueue and ValueMemory abstractions. Returns 0 = ok, 1 = fault
 // (the caller template jumps to the fault epilogue; the driver installs
 // the canonical fault state, exactly like execOp's `S = faultState()`).
 //===----------------------------------------------------------------------===//
@@ -133,8 +130,6 @@ enum GpReg : unsigned {
   RDI = 7,
   R12 = 12,
   R13 = 13,
-  R14 = 14,
-  R15 = 15,
 };
 
 // Condition codes for jcc.
@@ -256,10 +251,6 @@ public:
   void testRR64(unsigned A, unsigned B) { rexW(B, A), u8(0x85), modRR(B, A); }
   void testEaxEax() { u8(0x85), u8(0xC0); }
   void xorR32(unsigned D) { rexOpt(D, D), u8(0x31), modRR(D, D); }
-  void btsRI(unsigned R, uint8_t Bit) {
-    rexW(0, R), u8(0x0F), u8(0xBA), modRR(5, R), u8(Bit);
-  }
-  void decR64(unsigned R) { rexW(0, R), u8(0xFF), modRR(1, R); }
 
   void pushR(unsigned R) { rexOpt(0, R), u8(0x50 | (R & 7)); }
   void popR(unsigned R) { rexOpt(0, R), u8(0x58 | (R & 7)); }
@@ -348,18 +339,14 @@ std::unique_ptr<JitProgram> vm::emitJitProgram(const DecodedProgram &P) {
   std::vector<uint32_t> BodyOff(Span, UINT32_MAX);
 
   // Frame field offsets (see JitFrame).
-  constexpr int32_t FrRemaining = 8, FrProbe = 16, FrDirty = 24, FrExit = 32,
-                    FrEntries = 40;
+  constexpr int32_t FrRemaining = 8, FrExit = 16, FrEntries = 24;
 
   // --- Enter(frame=rdi, target=rsi): spill-free context switch.
-  A.pushR(RBP), A.pushR(RBX), A.pushR(R12), A.pushR(R13), A.pushR(R14),
-      A.pushR(R15);
+  A.pushR(RBP), A.pushR(RBX), A.pushR(R12), A.pushR(R13);
   A.subRI8(RSP, 8); // 16-byte call alignment for the helper calls
   A.movRR64(R12, RDI);
   A.movRM64(RBX, R12, 0 /*Cells*/);
   A.movRM64(R13, R12, FrRemaining);
-  A.movRM64(R14, R12, FrProbe);
-  A.xorR32(R15);
   A.movRM64(RBP, R12, FrEntries);
   A.jmpR(RSI);
 
@@ -369,10 +356,8 @@ std::unique_ptr<JitProgram> vm::emitJitProgram(const DecodedProgram &P) {
   A.movRI32z(RAX, (uint32_t)JitExitFault);
   size_t Tail = A.off();
   A.movMR64(R12, FrRemaining, R13);
-  A.movMR64(R12, FrProbe, R14);
-  A.movMR64(R12, FrDirty, R15);
   A.subRI8(RSP, -8); // add rsp, 8
-  A.popR(R15), A.popR(R14), A.popR(R13), A.popR(R12), A.popR(RBX), A.popR(RBP);
+  A.popR(R13), A.popR(R12), A.popR(RBX), A.popR(RBP);
   A.ret();
   size_t Epi = A.off();
   A.xorR32(RAX);
@@ -381,10 +366,6 @@ std::unique_ptr<JitProgram> vm::emitJitProgram(const DecodedProgram &P) {
   auto emitPcBump = [&] {
     A.addMI8(RBX, cellN(PcGIdx), 1);
     A.addMI8(RBX, cellN(PcBIdx), 1);
-  };
-  auto emitDirty = [&](unsigned Rd) {
-    if (Rd < NumGeneralRegs)
-      A.btsRI(R15, (uint8_t)Rd);
   };
   auto emitHelperCall = [&](uint64_t Fn, const MicroOp &M) {
     A.movRR64(RDI, R12);
@@ -423,12 +404,10 @@ std::unique_ptr<JitProgram> vm::emitJitProgram(const DecodedProgram &P) {
     const MicroOp &M = P.opAtSlot(Slot);
     int32_t Addr32 = (int32_t)(P.base() + (int64_t)Slot);
 
-    // Boundary: exit address, probe countdown, budget — any hit
-    // side-exits; the driver re-runs the per-mode ordering.
+    // Boundary: exit address, budget — either hit side-exits; the driver
+    // re-runs the per-mode ordering.
     BoundaryOff[Slot] = (uint32_t)A.off();
     A.cmpMI32(R12, FrExit, Addr32);
-    A.jccTo(CcE, Epi);
-    A.decR64(R14);
     A.jccTo(CcE, Epi);
     A.cmpRI8(R13, 2);
     A.jccTo(CcB, Epi);
@@ -451,7 +430,6 @@ std::unique_ptr<JitProgram> vm::emitJitProgram(const DecodedProgram &P) {
       emitPcBump();
       A.movMR64(RBX, cellN(M.Rd), RAX);
       A.movM8Cl(RBX, cellC(M.Rd));
-      emitDirty(M.Rd);
       break;
     case MicroOpKind::AddRI:
     case MicroOpKind::SubRI:
@@ -467,14 +445,12 @@ std::unique_ptr<JitProgram> vm::emitJitProgram(const DecodedProgram &P) {
       emitPcBump();
       A.movMR64(RBX, cellN(M.Rd), RAX);
       A.movM8I(RBX, cellC(M.Rd), (uint8_t)M.ImmC);
-      emitDirty(M.Rd);
       break;
     case MicroOpKind::Mov:
       emitPcBump();
       A.movRI64(RAX, (uint64_t)M.ImmN);
       A.movMR64(RBX, cellN(M.Rd), RAX);
       A.movM8I(RBX, cellC(M.Rd), (uint8_t)M.ImmC);
-      emitDirty(M.Rd);
       break;
     case MicroOpKind::LdG:
     case MicroOpKind::LdB:
@@ -484,7 +460,6 @@ std::unique_ptr<JitProgram> vm::emitJitProgram(const DecodedProgram &P) {
                      M);
       A.testEaxEax();
       A.jccTo(CcNE, EpiFault);
-      emitDirty(M.Rd);
       break;
     case MicroOpKind::StG:
       emitHelperCall((uint64_t)(uintptr_t)&talftJitStG, M);

@@ -14,22 +14,15 @@
 ///     array (rbx points at cell 0; cell i's color byte is at i*16 and its
 ///     payload at i*16+8), so states remain bit-compatible with every
 ///     other engine and a side-exit needs no register reconstruction;
-///   - register-file fingerprint maintenance is *deferred*: templates set
-///     a dirty bit (r15) per general register they write, and the driver
-///     folds old-cell ^ new-cell Zobrist terms for dirty slots (plus d and
-///     both pcs, always) when native code exits — the fingerprint is only
-///     observable at boundaries, where the fold has already happened;
-///   - every boundary re-checks, in order, the exit address, the
-///     convergence-probe countdown and the 2-step budget, side-exiting to
-///     the C++ driver whenever any of them needs attention (the driver
-///     re-evaluates the full per-mode boundary contract, so run /
-///     replaySteps / runContinuation ordering semantics live in exactly
-///     one place);
+///   - every boundary re-checks, in order, the exit address and the 2-step
+///     budget, side-exiting to the C++ driver whenever either needs
+///     attention (the driver re-evaluates the full per-mode boundary
+///     contract, so run / replaySteps / runContinuation ordering semantics
+///     live in exactly one place);
 ///   - jmpB / taken bzB commits chain directly to the target's boundary
 ///     code through an entry table (rbp), keeping loops native;
 ///   - loads and stores call out to C++ helpers that reuse the store
-///     queue and memory abstractions (whose own fingerprints stay eagerly
-///     maintained).
+///     queue and memory abstractions.
 ///
 /// Faults side-exit with a distinct reason; the driver then installs the
 /// canonical fault state, so no template ever needs to build one.
@@ -55,19 +48,13 @@ namespace talft::vm {
 /// The spilled execution context shared between the driver and emitted
 /// code. Field offsets are part of the emitter ABI (asserted in the
 /// implementation); the emitted prologue pins Cells in rbx, this frame in
-/// r12, Remaining in r13, ProbeCountdown in r14, the dirty mask in r15
-/// and Entries in rbp.
+/// r12, Remaining in r13 and Entries in rbp.
 struct JitFrame {
   /// The state's dense register cells (RegisterFile::rawCells()).
   Value *Cells = nullptr;
   /// Remaining step budget, *after* the driver pre-claims the entry
   /// instruction's two transitions. Written back on exit.
   uint64_t Remaining = 0;
-  /// Boundaries left until the next convergence probe (huge = never).
-  /// Written back on exit.
-  uint64_t ProbeCountdown = 0;
-  /// Out: bit i set = general register i was written natively.
-  uint64_t Dirty = 0;
   /// Exit block address (0 = none; code addresses are never 0).
   int64_t ExitAddr = 0;
   /// Boundary-entry table indexed by dense slot; null = no native code.
@@ -82,7 +69,7 @@ struct JitFrame {
 
 /// Why emitted code returned to the driver.
 enum : uint64_t {
-  JitExitBoundary = 0, ///< at a clean fetch boundary (exit/probe/budget/chain miss)
+  JitExitBoundary = 0, ///< at a clean fetch boundary (exit/budget/chain miss)
   JitExitFault = 1,    ///< an execution rule faulted; driver installs faultState
 };
 

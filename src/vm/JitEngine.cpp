@@ -20,7 +20,6 @@
 #include "vm/JitEngine.h"
 
 #include <cassert>
-#include <cstring>
 
 using namespace talft;
 using namespace talft::vm;
@@ -30,34 +29,6 @@ std::unique_ptr<ExecEngine> vm::createJitEngine(const CodeMemory &Code) {
 }
 
 namespace {
-
-/// Boundaries until the next armed probe, for the native countdown.
-/// Boundary indices advance by 2 per native instruction from \p Idx0 (the
-/// entry boundary, which the driver has already probed); Mask + 1 is a
-/// power of two, so either the residue parity never reaches 0 (no probe
-/// ever fires natively) or the distance is a closed form.
-uint64_t probeCountdown(const ExecEngine::ConvergenceProbe *Probe,
-                        uint64_t Idx0) {
-  constexpr uint64_t Never = uint64_t(1) << 62;
-  if (!Probe || !Probe->Timeline || !Probe->Verify)
-    return Never;
-  uint64_t M1 = Probe->Mask + 1;
-  uint64_t K;
-  if (M1 <= 1) {
-    K = 1;
-  } else {
-    uint64_t R = Idx0 & Probe->Mask;
-    if (R & 1)
-      return Never;
-    uint64_t Half = M1 / 2;
-    K = ((M1 - R) / 2) % Half;
-    if (K == 0)
-      K = Half;
-  }
-  if (Idx0 + 2 * K >= Probe->Size)
-    return Never; // indices only grow: no later probe can fire either
-  return K;
-}
 
 void traceSink(JitFrame *F, int64_t Address, int64_t Val) {
   static_cast<OutputTrace *>(F->OutCtx)->push_back(QueueEntry{Address, Val});
@@ -74,19 +45,12 @@ void onOutputSink(JitFrame *F, int64_t Address, int64_t Val) {
 JitEngine::NativeExit
 JitEngine::enterNative(MachineState &S, const StepPolicy &Policy,
                        Addr ExitAddr, uint64_t Avail,
-                       const ConvergenceProbe *Probe, uint64_t BoundaryIdx,
                        void (*OutFn)(JitFrame *, int64_t, int64_t),
                        void *OutCtx, const uint8_t *Body) const {
   assert(Avail >= 2 && "the driver pre-claims the entry instruction");
-  RegisterFile &R = S.Regs;
-  Value Snap[Reg::NumRegs];
-  std::memcpy(Snap, R.rawCells(), sizeof(Snap));
-  uint64_t FpIn = R.fingerprint();
-
   JitFrame F;
-  F.Cells = R.rawCells();
+  F.Cells = S.Regs.rawCells();
   F.Remaining = Avail - 2; // the entry instruction's fetch + execute
-  F.ProbeCountdown = probeCountdown(Probe, BoundaryIdx);
   F.ExitAddr = ExitAddr;
   F.Entries = Jit->entryTable();
   F.S = &S;
@@ -104,21 +68,7 @@ JitEngine::enterNative(MachineState &S, const StepPolicy &Policy,
     // at its boundary, matching the scalar engines' counting.
     NE.Fault = true;
     S = MachineState::faultState();
-    return NE;
   }
-  // Deferred register-fingerprint fold: one old ^ new Zobrist term per
-  // natively-written slot. d and the pcs are written by nearly every
-  // template, so they fold unconditionally (a no-op XOR when untouched).
-  uint64_t Fp = FpIn;
-  const Value *Cur = R.rawCells();
-  for (uint64_t Dirty = F.Dirty; Dirty;) {
-    unsigned I = (unsigned)__builtin_ctzll(Dirty);
-    Dirty &= Dirty - 1;
-    Fp ^= fp::regCell(I, Snap[I]) ^ fp::regCell(I, Cur[I]);
-  }
-  for (unsigned I = NumGeneralRegs; I != Reg::NumRegs; ++I)
-    Fp ^= fp::regCell(I, Snap[I]) ^ fp::regCell(I, Cur[I]);
-  R.rawSetFingerprint(Fp);
   return NE;
 }
 
@@ -167,8 +117,8 @@ RunResult JitEngine::run(MachineState &S, Addr ExitAddr, uint64_t MaxSteps,
     }
     uint64_t Avail = MaxSteps - Res.Steps;
     if (const uint8_t *Body = Avail >= 2 ? bodyFor(PcG.N) : nullptr) {
-      NativeExit NE = enterNative(S, Policy, ExitAddr, Avail, nullptr, 0,
-                                  &traceSink, &Res.Trace, Body);
+      NativeExit NE = enterNative(S, Policy, ExitAddr, Avail, &traceSink,
+                                  &Res.Trace, Body);
       Res.Steps += NE.Taken;
       if (NE.Fault) {
         Res.Status = RunStatus::FaultDetected;
@@ -217,8 +167,8 @@ ReplayResult JitEngine::replaySteps(MachineState &S, uint64_t NSteps,
     }
     uint64_t Avail = NSteps - Res.Taken;
     if (const uint8_t *Body = Avail >= 2 ? bodyFor(PcG.N) : nullptr) {
-      NativeExit NE = enterNative(S, Policy, /*ExitAddr=*/0, Avail, nullptr,
-                                  0, &traceSink, &Trace, Body);
+      NativeExit NE = enterNative(S, Policy, /*ExitAddr=*/0, Avail,
+                                  &traceSink, &Trace, Body);
       Res.Taken += NE.Taken;
       if (NE.Fault) {
         Res.Last = StepStatus::Fault;
@@ -235,11 +185,9 @@ ReplayResult JitEngine::replaySteps(MachineState &S, uint64_t NSteps,
 RunStatus JitEngine::runContinuation(MachineState &S, Addr ExitAddr,
                                      uint64_t Budget,
                                      const StepPolicy &Policy,
-                                     const OutputSink &OnOutput,
-                                     const ConvergenceProbe *Probe) const {
+                                     const OutputSink &OnOutput) const {
   if (!Jit || Policy.Cfi)
-    return Fallback.runContinuation(S, ExitAddr, Budget, Policy, OnOutput,
-                                    Probe);
+    return Fallback.runContinuation(S, ExitAddr, Budget, Policy, OnOutput);
   assert(S.Code == &program().code() && "state executed on a foreign engine");
   const DecodedProgram &P = program();
   uint64_t Taken = 0;
@@ -259,13 +207,6 @@ RunStatus JitEngine::runContinuation(MachineState &S, Addr ExitAddr,
     Value PcG = S.pcG(), PcB = S.pcB();
     if (ExitAddr != 0 && PcG.N == ExitAddr && PcB.N == ExitAddr)
       return RunStatus::Halted;
-    if (Probe) {
-      uint64_t Idx = Probe->StartStep + Taken;
-      if ((Idx & Probe->Mask) == 0 && Idx < Probe->Size &&
-          S.fingerprint() == Probe->Timeline[Idx] && Probe->Verify &&
-          Probe->Verify(S, Idx))
-        return RunStatus::Converged;
-    }
     if (Taken >= Budget)
       return RunStatus::OutOfSteps;
     if (PcG.N != PcB.N) {
@@ -277,8 +218,7 @@ RunStatus JitEngine::runContinuation(MachineState &S, Addr ExitAddr,
     uint64_t Avail = Budget - Taken;
     if (const uint8_t *Body = Avail >= 2 ? bodyFor(PcG.N) : nullptr) {
       NativeExit NE = enterNative(
-          S, Policy, ExitAddr, Avail, Probe,
-          Probe ? Probe->StartStep + Taken : 0, &onOutputSink,
+          S, Policy, ExitAddr, Avail, &onOutputSink,
           const_cast<void *>(static_cast<const void *>(&OnOutput)), Body);
       Taken += NE.Taken;
       if (NE.Fault)

@@ -7,11 +7,11 @@
 // The lockstep group loop. Structure mirrors Engine::runContinuation with
 // the lane dimension hoisted inside each boundary action: the program
 // counters are group state (LaneState owns one shared pair), so the exit /
-// probe-index / budget / fetch checks factor over the whole group, and
-// execAll is the SoA image of Engine.cpp's execOp switch — same read/write
-// order, same guard conditions, same fault transitions per lane — with the
-// per-kind dispatch, the pc bump and the pc fingerprint paid once per
-// group step instead of once per lane step.
+// budget / fetch checks factor over the whole group, and execAll is the
+// SoA image of Engine.cpp's execOp switch — same read/write order, same
+// guard conditions, same fault transitions per lane — with the per-kind
+// dispatch and the pc bump paid once per group step instead of once per
+// lane step.
 //
 // Lanes can only disagree about the next pc at a blue control transfer
 // (jmpB, bzB-taken — the sole pc writers; their green counterparts just
@@ -31,7 +31,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <vector>
 
 using namespace talft;
 using namespace talft::vm;
@@ -54,7 +53,6 @@ void LaneEngine::run(MachineState *States, unsigned N,
   // step, so their instruction registers agree).
   std::optional<Inst> Inherited = States[0].IR;
 
-  LS.resetDeferredWrites(); // a reused scratch bank may end mid-window
   LS.shareMemory(Spec.SharedMem);
   for (unsigned L = 0; L != N; ++L) {
     assert(States[L].Code == &P.code() &&
@@ -85,35 +83,19 @@ void LaneEngine::run(MachineState *States, unsigned N,
   };
 
   // Lane L left the lockstep group (control-flow divergence at a blue
-  // transfer): finish it on the scalar engine with the remaining budget,
-  // the probe schedule continued at the current boundary, and — when the
-  // split happens mid-step — the fetched instruction in flight, so the
-  // scalar loop executes it with exactly the budget and probe indices a
-  // solo run would have seen.
+  // transfer): finish it on the scalar engine with the remaining budget
+  // and — when the split happens mid-step — the fetched instruction in
+  // flight, so the scalar loop executes it with exactly the budget a solo
+  // run would have seen.
   auto Fallback = [&](unsigned L, const std::optional<Inst> &IR) {
     MachineState S = LS.take(L, P.code());
     S.IR = IR;
-    ExecEngine::ConvergenceProbe SP;
-    const ExecEngine::ConvergenceProbe *SPp = nullptr;
-    if (Spec.Probe) {
-      SP.Timeline = Spec.Probe->Timeline;
-      SP.Size = Spec.Probe->Size;
-      SP.StartStep = Spec.Probe->StartStep + Taken;
-      SP.Mask = Spec.Probe->Mask;
-      if (Spec.Probe->Verify)
-        SP.Verify = [Probe = Spec.Probe, L](const MachineState &FS,
-                                            uint64_t Idx) {
-          return Probe->Verify(L, FS, Idx);
-        };
-      SPp = &SP;
-    }
     RunStatus St = Scalar.runContinuation(
         S, Spec.ExitAddr, Spec.Budget - Taken, Spec.Policy,
         [&Sink = Spec.OnOutput, L](const QueueEntry &E) {
           if (Sink)
             Sink(L, E);
-        },
-        SPp);
+        });
     Out[L].Deviated = true;
     Finish(L, St, std::move(S), Taken);
   };
@@ -137,14 +119,12 @@ void LaneEngine::run(MachineState *States, unsigned N,
     // The ALU families never retire a lane, so the active set is stable
     // across the op: when it spans the whole bank, one row-at-a-time SIMD
     // pass (LaneSimd.h) replaces the per-lane loop — payload row op plus
-    // a color-row copy/fill, with the same deferred-fingerprint snapshot
-    // set() would take. Partially-retired groups keep the scalar loop,
-    // which doubles as the oracle for the row path.
+    // a color-row copy/fill. Partially-retired groups keep the scalar
+    // loop, which doubles as the oracle for the row path.
     auto AluRR = [&](auto F, void (*Rows)(int64_t *, const int64_t *,
                                           const int64_t *, unsigned)) {
       if (LS.fullWidthActive()) {
         unsigned W = LS.width();
-        LS.beginRowWrite(M.Rd);
         Rows(LS.rowV(M.Rd), LS.rowV(M.Rs), LS.rowV(M.Rt), W);
         if (M.Rd != M.Rt)
           std::copy_n(LS.rowC(M.Rt), W, LS.rowC(M.Rd));
@@ -163,7 +143,6 @@ void LaneEngine::run(MachineState *States, unsigned N,
                                             int64_t, unsigned)) {
       if (LS.fullWidthActive()) {
         unsigned W = LS.width();
-        LS.beginRowWrite(M.Rd);
         RowImm(LS.rowV(M.Rd), LS.rowV(M.Rs), M.ImmN, W);
         std::fill_n(LS.rowC(M.Rd), W, M.ImmC);
         LS.incrementPCs();
@@ -199,7 +178,6 @@ void LaneEngine::run(MachineState *States, unsigned N,
     case MicroOpKind::Mov:
       if (LS.fullWidthActive()) {
         unsigned W = LS.width();
-        LS.beginRowWrite(M.Rd);
         simd::fillRow(LS.rowV(M.Rd), M.ImmN, W);
         std::fill_n(LS.rowC(M.Rd), W, M.ImmC);
         LS.incrementPCs();
@@ -401,12 +379,6 @@ void LaneEngine::run(MachineState *States, unsigned N,
     ++Taken;
   }
 
-  // Probe candidates, collected per probing boundary so a fingerprint
-  // collision (take, reject, reload at the end of the active list) cannot
-  // re-probe the lane at the same boundary.
-  std::vector<unsigned> Cand;
-  Cand.reserve(N);
-
   while (LS.numActive()) {
     // --- fetch boundary; every active lane has an empty IR and shares
     // --- the group pc pair ---
@@ -417,33 +389,6 @@ void LaneEngine::run(MachineState *States, unsigned N,
     if (Spec.ExitAddr != 0 && PcGN == Spec.ExitAddr && PcBN == Spec.ExitAddr) {
       DrainAll(RunStatus::Halted, std::nullopt);
       return;
-    }
-
-    // Convergence probe, per lane (the timeline index and the pc-pair
-    // hash contribution are shared).
-    if (Spec.Probe) {
-      uint64_t Idx = Spec.Probe->StartStep + Taken;
-      if ((Idx & Spec.Probe->Mask) == 0 && Idx < Spec.Probe->Size &&
-          Spec.Probe->Verify) {
-        // Settle the deferred register-write hash deltas accumulated since
-        // the previous probing boundary before consulting fingerprints.
-        LS.flushFingerprints();
-        uint64_t PcFp = LS.pcFingerprint();
-        Cand.clear();
-        for (size_t K = 0; K != LS.numActive(); ++K)
-          Cand.push_back(LS.act(K));
-        for (unsigned L : Cand) {
-          if (LS.fingerprint(L, PcFp) != Spec.Probe->Timeline[Idx])
-            continue;
-          MachineState S = LS.take(L, P.code());
-          if (Spec.Probe->Verify(L, S, Idx))
-            Finish(L, RunStatus::Converged, std::move(S), Taken);
-          else
-            LS.load(L, std::move(S)); // collision — the lane rejoins
-        }
-        if (!LS.numActive())
-          return;
-      }
     }
 
     // Budget.

@@ -1,28 +1,19 @@
-//===- tests/convergence_test.cpp - Convergence acceleration oracle -------===//
+//===- tests/convergence_test.cpp - Differential replay fold oracle -------===//
 //
 // Part of the TALFT project.
 //
 //===----------------------------------------------------------------------===//
 //
-// The convergence-acceleration machinery (incremental fingerprints, the
-// runContinuation probe, and the campaign's differential replay) is only
+// The campaign's differential replay (CampaignOptions::Converge) is only
 // allowed to change wall-clock time, never a verdict. This suite pins the
-// three load-bearing contracts:
-//
-//   1. the incrementally-maintained fingerprint agrees with a from-scratch
-//      recomputation after any step sequence, on both engines, including
-//      across injected faults;
-//   2. a fingerprint match is only a gate — a forced collision (match with
-//      the full-equality confirmation refusing) must leave the run's
-//      status, outputs and final state untouched;
-//   3. whole campaigns fold bit-identically with and without acceleration,
-//      across engines, thread counts, resume modes and pruning.
+// load-bearing contract: whole campaigns fold bit-identically with and
+// without the replay, across engines, thread counts, resume modes and
+// pruning.
 //
 //===----------------------------------------------------------------------===//
 
 #include "check/ProgramChecker.h"
 #include "fault/Campaign.h"
-#include "sim/ExecEngine.h"
 #include "tal/Parser.h"
 #include "vm/Engine.h"
 
@@ -31,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -65,155 +55,11 @@ Program parseOrDie(TypeContext &TC, const NamedProgram &NP) {
   return std::move(*P);
 }
 
-/// The reference run unrolled: state and fingerprint after every step
-/// (index k = after k transitions), up to and including the halt state.
-struct UnrolledRun {
-  std::vector<MachineState> States;
-  std::vector<uint64_t> Timeline;
-  uint64_t Steps = 0;
-  OutputTrace Trace;
-};
-
-UnrolledRun unroll(const Program &P, const StepPolicy &Policy) {
-  UnrolledRun U;
-  MachineState Probe = *P.initialState();
-  RunResult RR =
-      referenceEngine().run(Probe, P.exitAddress(), 100000, Policy);
-  EXPECT_EQ(RR.Status, RunStatus::Halted);
-  U.Steps = RR.Steps;
-  U.Trace = RR.Trace;
-  MachineState S = *P.initialState();
-  U.States.push_back(S);
-  U.Timeline.push_back(S.fingerprint());
-  for (uint64_t I = 0; I != RR.Steps; ++I) {
-    StepResult SR = referenceEngine().step(S, Policy);
-    EXPECT_EQ(SR.Status, StepStatus::Ok);
-    U.States.push_back(S);
-    U.Timeline.push_back(S.fingerprint());
-  }
-  return U;
-}
-
-// Contract 1: the O(1) incremental fingerprint must equal the O(|state|)
-// recomputation after every transition — fault-free, across random fault
-// injections (register, pc and queue sites), and on both engines.
-TEST(Fingerprint, IncrementalMatchesRecomputeUnderRandomFaults) {
-  std::mt19937 Rng(20070611);
-  for (const NamedProgram &NP : allPrograms()) {
-    TypeContext TC;
-    Program P = parseOrDie(TC, NP);
-    std::unique_ptr<ExecEngine> Vm = vm::createEngine(P.code());
-    std::vector<int64_t> Values = representativeCorruptions(P);
-    for (const ExecEngine *E :
-         {&referenceEngine(), (const ExecEngine *)Vm.get()}) {
-      for (int Trial = 0; Trial != 8; ++Trial) {
-        MachineState S = *P.initialState();
-        for (int I = 0; I != 200; ++I) {
-          ASSERT_EQ(recomputeFingerprint(S), S.fingerprint())
-              << NP.Name << " " << E->name() << " trial " << Trial
-              << " step " << I;
-          if (Trial != 0 && I % 29 == 7) {
-            std::vector<FaultSite> Sites = enumerateFaultSites(S);
-            ASSERT_FALSE(Sites.empty());
-            const FaultSite &Site = Sites[std::uniform_int_distribution<
-                size_t>(0, Sites.size() - 1)(Rng)];
-            injectFault(S, Site,
-                        Values[std::uniform_int_distribution<size_t>(
-                            0, Values.size() - 1)(Rng)]);
-            ASSERT_EQ(recomputeFingerprint(S), S.fingerprint())
-                << NP.Name << " " << E->name() << " after injection at "
-                << I;
-          }
-          if (E->step(S, StepPolicy()).Status != StepStatus::Ok)
-            break;
-        }
-        ASSERT_EQ(recomputeFingerprint(S), S.fingerprint())
-            << NP.Name << " " << E->name() << " final";
-      }
-    }
-  }
-}
-
-// Contract 2a: a forced collision — every probed boundary's fingerprint
-// matches, but the full-equality confirmation refuses — must never turn
-// into Converged. The run completes exactly as if the probe were absent.
-TEST(ConvergenceProbe, ForcedCollisionNeverConverges) {
-  for (const NamedProgram &NP : allPrograms()) {
-    TypeContext TC;
-    Program P = parseOrDie(TC, NP);
-    std::unique_ptr<ExecEngine> Vm = vm::createEngine(P.code());
-    UnrolledRun U = unroll(P, StepPolicy());
-    for (const ExecEngine *E :
-         {&referenceEngine(), (const ExecEngine *)Vm.get()}) {
-      ExecEngine::ConvergenceProbe Probe;
-      Probe.Timeline = U.Timeline.data();
-      Probe.Size = U.Timeline.size();
-      Probe.StartStep = 0;
-      Probe.Mask = 0;
-      uint64_t VerifyCalls = 0;
-      Probe.Verify = [&](const MachineState &, uint64_t) {
-        ++VerifyCalls;
-        return false; // simulate "fingerprint collided, states differ"
-      };
-      MachineState S = *P.initialState();
-      OutputTrace Outs;
-      RunStatus St = E->runContinuation(
-          S, P.exitAddress(), U.Steps + 8, StepPolicy(),
-          [&](const QueueEntry &Q) { Outs.push_back(Q); }, &Probe);
-      std::string At = std::string(NP.Name) + " " + E->name();
-      EXPECT_EQ(St, RunStatus::Halted) << At;
-      // The gate genuinely fired (the fingerprints did match)...
-      EXPECT_GT(VerifyCalls, 0u) << At;
-      // ...yet the run is indistinguishable from a probe-less one.
-      EXPECT_EQ(Outs, U.Trace) << At;
-      EXPECT_EQ(S, U.States.back()) << At;
-    }
-  }
-}
-
-// Contract 2b: with the genuine full-equality confirmation, the run
-// converges at the first probed boundary whose state truly matches —
-// poisoning the earlier timeline entries delays convergence to exactly
-// the first clean boundary, and the engine leaves the state there.
-TEST(ConvergenceProbe, ConvergesAtFirstMatchingBoundary) {
-  for (const NamedProgram &NP : allPrograms()) {
-    TypeContext TC;
-    Program P = parseOrDie(TC, NP);
-    std::unique_ptr<ExecEngine> Vm = vm::createEngine(P.code());
-    UnrolledRun U = unroll(P, StepPolicy());
-    if (U.Steps < 6)
-      continue;
-    // Poison every boundary before M (M even = a fetch boundary).
-    uint64_t M = (U.Steps / 2) & ~uint64_t(1);
-    std::vector<uint64_t> Poisoned = U.Timeline;
-    for (uint64_t I = 0; I != M; ++I)
-      Poisoned[I] ^= 0xbad0bad0bad0bad0ull;
-    for (const ExecEngine *E :
-         {&referenceEngine(), (const ExecEngine *)Vm.get()}) {
-      ExecEngine::ConvergenceProbe Probe;
-      Probe.Timeline = Poisoned.data();
-      Probe.Size = Poisoned.size();
-      Probe.StartStep = 0;
-      Probe.Mask = 0;
-      Probe.Verify = [&](const MachineState &S, uint64_t Idx) {
-        return Idx < U.States.size() && S == U.States[Idx];
-      };
-      MachineState S = *P.initialState();
-      RunStatus St = E->runContinuation(
-          S, P.exitAddress(), U.Steps + 8, StepPolicy(),
-          [](const QueueEntry &) {}, &Probe);
-      std::string At = std::string(NP.Name) + " " + E->name();
-      EXPECT_EQ(St, RunStatus::Converged) << At;
-      EXPECT_EQ(S, U.States[M]) << At;
-    }
-  }
-}
-
-// Contract 3: accelerated campaigns fold bit-identically to unaccelerated
-// ones — same verdict table, violations, reference run and Ok — across
-// engines, thread counts and resume modes (runSingleFaultCampaign covers
+// Replayed campaigns fold bit-identically to unreplayed ones — same
+// verdict table, violations, reference run and Ok — across engines,
+// thread counts and resume modes (runSingleFaultCampaign covers
 // raw-semantics programs including the ill-typed one).
-TEST(ConvergenceFold, SingleFaultCampaignsBitIdentical) {
+TEST(ReplayFold, SingleFaultCampaignsBitIdentical) {
   uint64_t TotalDischarged = 0;
   for (const NamedProgram &NP : allPrograms()) {
     TypeContext TC;
@@ -254,18 +100,18 @@ TEST(ConvergenceFold, SingleFaultCampaignsBitIdentical) {
       EXPECT_EQ(R.Table, Baseline.Table) << At;
       EXPECT_EQ(R.Violations, Baseline.Violations) << At;
       EXPECT_TRUE(R.Stats.Converge) << At;
-      TotalDischarged += R.Stats.EarlyExits + R.Stats.LockstepSkips;
+      TotalDischarged += R.Stats.LockstepSkips;
     }
   }
-  // The acceleration actually engaged somewhere in the sweep.
+  // The replay actually engaged somewhere in the sweep.
   EXPECT_GT(TotalDischarged, 0u);
 }
 
 // Same fold oracle for the typed-program entry point, plus pruning: a
-// pruned accelerated campaign must equal a pruned unaccelerated one (the
+// pruned replayed campaign must equal a pruned unreplayed one (the
 // Masked/StaticallyMasked split depends on pruning, so the baselines
 // pair up by Prune flag).
-TEST(ConvergenceFold, FaultToleranceAndPrunedCampaignsBitIdentical) {
+TEST(ReplayFold, FaultToleranceAndPrunedCampaignsBitIdentical) {
   for (const NamedProgram &NP : allPrograms()) {
     if (!NP.WellTyped)
       continue;

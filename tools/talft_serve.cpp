@@ -43,7 +43,7 @@
 //
 // submits a Figure 10 kernel by name (wile/Kernels.h) or a source file,
 // prints the streamed events' summary, and with --json writes the served
-// campaign as a talft-fault-campaign-v8 document — the same renderer the
+// campaign as a talft-fault-campaign-v9 document — the same renderer the
 // batch CLI uses, so the two are diffable field by field.
 //
 // Exit status: 0 success (campaign ok, or stats/ping answered); 1 when
