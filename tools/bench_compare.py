@@ -2,7 +2,7 @@
 """Compare a talft-bench-v1 report against a committed baseline.
 
 The perf-regression gate for the campaign benchmarks: given a baseline
-report (bench/baselines/BENCH_*.json, refreshed by the nightly workflow)
+report (bench/baselines/BENCH_*.json, changed only by a reviewed commit)
 and a freshly measured one, fail when the acceleration regressed.
 
 The gated metric is the *speedup ratio* (accelerated vs. unaccelerated
