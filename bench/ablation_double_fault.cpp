@@ -19,8 +19,8 @@
 //
 // The pairs run as explicit injection plans on the campaign engine
 // (fault/Campaign.h), so the sweep parallelizes: pass --threads N. The
-// plans replay on the decoded VM engine by default; --engine reference
-// selects the structural interpreter and --engine jit the native tier
+// plans replay on the native JIT tier by default; --engine vm selects the
+// decoded interpreter and --engine reference the structural one
 // (identical tallies by construction). Plan campaigns never use the
 // differential replay (earlier injections have already diverged the
 // state from the reference), so every continuation runs concretely.
@@ -31,7 +31,6 @@
 #include "fault/Campaign.h"
 #include "tal/Parser.h"
 #include "vm/Engine.h"
-#include "vm/JitEngine.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -105,7 +104,7 @@ void report(const char *Label, const CampaignResult &R) {
 
 int main(int Argc, char **Argv) {
   unsigned Threads = 1;
-  std::string Engine = "vm";
+  std::string Engine = vm::DefaultEngineName;
   for (int I = 1; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--threads") == 0) {
       uint64_t N;
@@ -140,12 +139,9 @@ int main(int Argc, char **Argv) {
   Probe.Prog = &*Prog;
   CampaignOptions Opts;
   Opts.Threads = Threads;
-  std::unique_ptr<ExecEngine> Vm;
-  if (Engine == "vm")
-    Vm = vm::createEngine(Prog->code());
-  else if (Engine == "jit")
-    Vm = vm::createJitEngine(Prog->code());
-  Opts.Engine = Vm.get();
+  std::unique_ptr<ExecEngine> Eng =
+      vm::createEngineByName(Engine, Prog->code());
+  Opts.Engine = Eng.get();
   CampaignResult Ref = runInjectionPlans(Probe, Opts);
   if (!Ref.Ok) {
     std::fprintf(stderr, "reference run failed\n");

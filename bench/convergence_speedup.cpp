@@ -18,7 +18,7 @@
 //                       [--no-prune] [--json [FILE]]
 //
 //   --threads N   worker threads (default 1; 0 = hardware concurrency).
-//   --engine E    engine for the faulty continuations (default vm).
+//   --engine E    engine for the faulty continuations (default jit).
 //   --no-prune    keep statically-dead sites in the simulated sweep
 //                 (the headline number is measured on the pruned sweep,
 //                 matching the nightly workflow).
@@ -36,7 +36,6 @@
 #include "CliUtils.h"
 #include "fault/Campaign.h"
 #include "vm/Engine.h"
-#include "vm/JitEngine.h"
 #include "wile/Codegen.h"
 #include "wile/Kernels.h"
 
@@ -52,7 +51,7 @@ namespace {
 
 struct Cli {
   unsigned Threads = 1;
-  std::string Engine = "vm";
+  std::string Engine = vm::DefaultEngineName;
   bool Prune = true;
   bool Json = false;
   std::string JsonPath;
@@ -137,14 +136,9 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "%s: %s\n", K.Name.c_str(), CP.message().c_str());
       return 1;
     }
-    std::unique_ptr<ExecEngine> Vm;
-    const ExecEngine *E = &referenceEngine();
-    if (C.Engine == "vm")
-      Vm = vm::createEngine(CP->Prog.code());
-    else if (C.Engine == "jit")
-      Vm = vm::createJitEngine(CP->Prog.code());
-    if (Vm)
-      E = Vm.get();
+    std::unique_ptr<ExecEngine> Eng =
+        vm::createEngineByName(C.Engine, CP->Prog.code());
+    const ExecEngine *E = Eng ? Eng.get() : &referenceEngine();
 
     // Same adaptive stride rule as fault_coverage --fig10 (derived from
     // the engine-independent reference length).
@@ -168,7 +162,7 @@ int main(int Argc, char **Argv) {
     Config.InjectionStride = Stride;
     CampaignOptions Opts;
     Opts.Threads = C.Threads;
-    Opts.Engine = Vm.get();
+    Opts.Engine = Eng.get();
     Opts.Prune = C.Prune;
 
     KernelRow Row;

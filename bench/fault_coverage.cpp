@@ -28,12 +28,13 @@
 //                 TAL programs, 7 for the compiled kernel; the --fig10
 //                 kernels pick an adaptive per-kernel stride).
 //   --engine E    execution engine for the faulty continuations:
-//                 'vm' (default, the decoded fast path), 'jit' (the
-//                 native x86-64 tier, vm/JitEngine.h; falls back to vm
-//                 on hosts without executable mappings and reports the
-//                 fallback in the campaign JSON) or 'reference' (the
-//                 structural interpreter). Engines are bit-identical by
-//                 construction, so the verdicts cannot depend on this.
+//                 'jit' (default, the native x86-64 tier,
+//                 vm/JitEngine.h; falls back to its embedded vm on hosts
+//                 without executable mappings and reports the fallback
+//                 in the campaign JSON), 'vm' (the decoded interpreter)
+//                 or 'reference' (the structural interpreter). Engines
+//                 are bit-identical by construction, so the verdicts
+//                 cannot depend on this.
 //   --recover     run the faulty continuations under the
 //                 checkpoint/rollback layer (recover/RecoveringEngine.h):
 //                 detected faults roll back and replay instead of
@@ -71,15 +72,6 @@
 //                 way — the nightly workflow asserts exactly that — so
 //                 this is purely a baseline/escape hatch for timing the
 //                 unaccelerated sweep.
-//   --no-lanes    disable the batched structure-of-arrays lane engine
-//                 (vm/LaneEngine.h) and classify every injection on the
-//                 scalar path. Verdict tables are bit-identical either
-//                 way — the lane-determinism CI job asserts exactly
-//                 that — so this is purely a baseline/escape hatch for
-//                 timing the unbatched sweep.
-//   --lane-width N
-//                 lanes advanced in lockstep per group (default 16).
-//                 Any width yields the same verdict tables.
 //   --shards N    deterministically partition every campaign's task list
 //                 into N contiguous shards and run only one of them
 //                 (fault/Campaign.h applyShardSlice semantics: shard I
@@ -90,15 +82,18 @@
 //   --shard-index I
 //                 which shard to run (default 0; must be < N).
 //   --json [FILE] emit a machine-readable report (schema
-//                 talft-fault-campaign-v9: v8 minus the convergence
-//                 probe's counters — the per-campaign "convergence"
-//                 object keeps "enabled", "lockstep_skips" and
-//                 "lockstep_steps" and drops "early_exits",
+//                 talft-fault-campaign-v10: v9 minus the retired lane
+//                 engine — the top-level "lanes"/"lane_width" knobs,
+//                 the per-campaign "lanes" object and the "jit"
+//                 object's SIMD lane width are gone; v9 was v8 minus
+//                 the convergence probe's counters — the per-campaign
+//                 "convergence" object keeps "enabled", "lockstep_skips"
+//                 and "lockstep_steps" and drops "early_exits",
 //                 "mean_window", "window_sum", "max_window" and
 //                 "steps_saved"; v8 added 'jit' to the engine enum and
 //                 the per-campaign "jit" stats object (native,
-//                 blocks_compiled, code_bytes, side_exits,
-//                 simd_lane_width); v7 added the top-level
+//                 blocks_compiled, code_bytes, side_exits and the SIMD
+//                 lane width); v7 added the top-level
 //                 "cfi_check" knob, the per-program "target_resolution"
 //                 summary from the indirect-target ladder, the
 //                 statically_detected verdict, the per-campaign "cfi"
@@ -123,7 +118,6 @@
 #include "fault/Campaign.h"
 #include "tal/Parser.h"
 #include "vm/Engine.h"
-#include "vm/JitEngine.h"
 #include "wile/Codegen.h"
 #include "wile/Kernels.h"
 
@@ -210,7 +204,7 @@ block done {
 struct Cli {
   unsigned Threads = 1;
   uint64_t Stride = 0; // 0 = per-program default
-  std::string Engine = "vm";
+  std::string Engine = vm::DefaultEngineName;
   bool Json = false;
   std::string JsonPath; // empty = stdout
   bool Recover = false;
@@ -220,8 +214,6 @@ struct Cli {
   bool Prune = false;
   bool CfiCheck = false;
   bool Converge = true;
-  bool Lanes = true;
-  unsigned LaneWidth = 16;
   unsigned Shards = 1;
   unsigned ShardIndex = 0;
 };
@@ -231,8 +223,8 @@ void usage(const char *Argv0) {
                "usage: %s [--threads N] [--stride N] "
                "[--engine reference|vm|jit] [--json [FILE]] [--recover] "
                "[--checkpoint-interval N] [--retry-budget N] [--fig10] "
-               "[--prune] [--cfi-check] [--no-converge] [--no-lanes] "
-               "[--lane-width N] [--shards N] [--shard-index I]\n",
+               "[--prune] [--cfi-check] [--no-converge] [--shards N] "
+               "[--shard-index I]\n",
                Argv0);
 }
 
@@ -264,13 +256,6 @@ bool parseCli(int Argc, char **Argv, Cli &C) {
       C.CfiCheck = true;
     } else if (std::strcmp(A, "--no-converge") == 0) {
       C.Converge = false;
-    } else if (std::strcmp(A, "--no-lanes") == 0) {
-      C.Lanes = false;
-    } else if (std::strcmp(A, "--lane-width") == 0) {
-      uint64_t N;
-      if (!NumArg(N) || N == 0)
-        return false;
-      C.LaneWidth = (unsigned)N;
     } else if (std::strcmp(A, "--shards") == 0) {
       uint64_t N;
       if (!NumArg(N) || N == 0)
@@ -340,19 +325,6 @@ void printRow(FILE *Out, const SweepRow &Row) {
       std::fprintf(stderr, "  %s\n", V.c_str());
 }
 
-/// The faulty-continuation engine for \p C: null means the structural
-/// reference interpreter (CampaignOptions' default). Under '--engine jit'
-/// on a host that cannot map code pages the JitEngine still constructs —
-/// it runs on its embedded vm fallback and the campaign JSON reports
-/// jit.native == false.
-std::unique_ptr<ExecEngine> makeEngine(const Cli &C, const CodeMemory &Code) {
-  if (C.Engine == "vm")
-    return vm::createEngine(Code);
-  if (C.Engine == "jit")
-    return vm::createJitEngine(Code);
-  return nullptr;
-}
-
 TheoremConfig sweepConfig(const Cli &C, uint64_t Stride) {
   TheoremConfig Config;
   Config.InjectionStride = Stride;
@@ -370,12 +342,14 @@ bool runSweep(const Cli &C, const char *Name, uint64_t Stride, TypeContext &TC,
   Opts.Prune = C.Prune;
   Opts.CfiCheck = C.CfiCheck;
   Opts.Converge = C.Converge;
-  Opts.Lanes = C.Lanes;
-  Opts.LaneWidth = C.LaneWidth;
   Opts.ShardCount = C.Shards;
   Opts.ShardIndex = C.ShardIndex;
   // Engines are bound to one CodeMemory, so they are built per program.
-  std::unique_ptr<ExecEngine> Eng = makeEngine(C, CP.Prog->code());
+  // Null is the structural reference interpreter. Under '--engine jit' on
+  // a host that cannot map code pages the JitEngine runs its embedded vm
+  // and the campaign JSON reports jit.native == false.
+  std::unique_ptr<ExecEngine> Eng =
+      vm::createEngineByName(C.Engine, CP.Prog->code());
   Opts.Engine = Eng.get();
   CampaignResult R = runFaultToleranceCampaign(TC, CP, Config, Opts);
   // The program type-checked to get here: top rung of the ladder. The
@@ -443,7 +417,8 @@ bool sweepFig10(const Cli &C, std::vector<SweepRow> &Rows) {
       Ok = false;
       continue;
     }
-    std::unique_ptr<ExecEngine> Eng = makeEngine(C, CP->Prog.code());
+    std::unique_ptr<ExecEngine> Eng =
+        vm::createEngineByName(C.Engine, CP->Prog.code());
     const ExecEngine *E = Eng ? Eng.get() : &referenceEngine();
 
     // Probe the reference length to pick the stride (deterministic: step
@@ -477,8 +452,6 @@ bool sweepFig10(const Cli &C, std::vector<SweepRow> &Rows) {
     Opts.Prune = C.Prune;
     Opts.CfiCheck = C.CfiCheck;
     Opts.Converge = C.Converge;
-    Opts.Lanes = C.Lanes;
-    Opts.LaneWidth = C.LaneWidth;
     Opts.ShardCount = C.Shards;
     Opts.ShardIndex = C.ShardIndex;
     CampaignResult R = runSingleFaultCampaign(CP->Prog, Config, Opts);
@@ -497,7 +470,7 @@ bool sweepFig10(const Cli &C, std::vector<SweepRow> &Rows) {
 std::string reportJson(const Cli &C, const std::vector<SweepRow> &Rows,
                        bool Ok) {
   std::string S = "{\n";
-  S += "  \"schema\": \"talft-fault-campaign-v9\",\n";
+  S += "  \"schema\": \"talft-fault-campaign-v10\",\n";
   S += "  \"engine\": \"" + C.Engine + "\",\n";
   S += "  \"threads\": " + std::to_string(C.Threads) + ",\n";
   S += "  \"recover\": " + std::string(C.Recover ? "true" : "false") + ",\n";
@@ -507,8 +480,6 @@ std::string reportJson(const Cli &C, const std::vector<SweepRow> &Rows,
   S += "  \"prune\": " + std::string(C.Prune ? "true" : "false") + ",\n";
   S += "  \"cfi_check\": " + std::string(C.CfiCheck ? "true" : "false") + ",\n";
   S += "  \"converge\": " + std::string(C.Converge ? "true" : "false") + ",\n";
-  S += "  \"lanes\": " + std::string(C.Lanes ? "true" : "false") + ",\n";
-  S += "  \"lane_width\": " + std::to_string(C.LaneWidth) + ",\n";
   S += "  \"shards\": " + std::to_string(C.Shards) + ",\n";
   S += "  \"shard_index\": " + std::to_string(C.ShardIndex) + ",\n";
   S += "  \"ok\": " + std::string(Ok ? "true" : "false") + ",\n";

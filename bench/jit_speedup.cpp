@@ -39,7 +39,6 @@
 #include "fault/Campaign.h"
 #include "vm/Engine.h"
 #include "vm/JitEngine.h"
-#include "vm/LaneSimd.h"
 #include "wile/Codegen.h"
 #include "wile/Kernels.h"
 
@@ -265,8 +264,8 @@ int main(int Argc, char **Argv) {
   std::fprintf(Out, "%-12s %8s %6s %11.0f %11.0f %7.2fx\n", "total", "", "",
                VmTotal > 0 ? (double)StepsTotal / VmTotal : 0.0,
                JitTotal > 0 ? (double)StepsTotal / JitTotal : 0.0, Overall);
-  std::fprintf(Out, "\njit tier: native=%s, simd_lane_width=%u\n",
-               Native ? "yes" : "no (vm fallback)", vm::simd::laneWidth());
+  std::fprintf(Out, "\njit tier: native=%s\n",
+               Native ? "yes" : "no (vm fallback)");
   std::fprintf(Out, "%s\n",
                AllIdentical
                    ? "All JIT campaign verdict tables are bit-identical to "
@@ -284,8 +283,6 @@ int main(int Argc, char **Argv) {
     S += "  \"threads\": " + std::to_string(C.Threads) + ",\n";
     S += "  \"prune\": " + std::string(C.Prune ? "true" : "false") + ",\n";
     S += "  \"native\": " + std::string(Native ? "true" : "false") + ",\n";
-    S += "  \"simd_lane_width\": " + std::to_string(vm::simd::laneWidth()) +
-         ",\n";
     S += "  \"tables_identical\": " +
          std::string(AllIdentical ? "true" : "false") + ",\n";
     S += "  \"kernels\": [\n";

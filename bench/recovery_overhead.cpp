@@ -27,7 +27,6 @@
 #include "CliUtils.h"
 #include "recover/RecoveringEngine.h"
 #include "vm/Engine.h"
-#include "vm/JitEngine.h"
 #include "wile/Codegen.h"
 #include "wile/Kernels.h"
 
@@ -45,7 +44,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 struct Cli {
-  std::string Engine = "vm";
+  std::string Engine = vm::DefaultEngineName;
   std::vector<uint64_t> Intervals = {1, 4, 16, 64};
   uint64_t Repeat = 3;
   bool Json = false;
@@ -141,14 +140,9 @@ int main(int Argc, char **Argv) {
       Ok = false;
       continue;
     }
-    std::unique_ptr<ExecEngine> Vm;
-    const ExecEngine *E = &referenceEngine();
-    if (C.Engine == "vm")
-      Vm = vm::createEngine(CP->Prog.code());
-    else if (C.Engine == "jit")
-      Vm = vm::createJitEngine(CP->Prog.code());
-    if (Vm)
-      E = Vm.get();
+    std::unique_ptr<ExecEngine> Eng =
+        vm::createEngineByName(C.Engine, CP->Prog.code());
+    const ExecEngine *E = Eng ? Eng.get() : &referenceEngine();
     Expected<MachineState> S0 = CP->Prog.initialState();
     if (Error Err = S0.takeError()) {
       std::fprintf(stderr, "%s: %s\n", K.Name.c_str(), Err.message().c_str());

@@ -22,7 +22,7 @@
 //   --threads N   campaign worker threads per shard (default 0 =
 //                 hardware concurrency).
 //   --shards N    shard partition served per campaign (default 4).
-//   --engine E    engine for the faulty continuations (default vm).
+//   --engine E    engine for the faulty continuations (default jit).
 //   --prune       discharge statically-dead sites before sweeping.
 //   --json [FILE] emit a machine-readable report (schema talft-bench-v1;
 //                 the nightly workflow uploads it as BENCH_serve.json)
@@ -56,7 +56,7 @@ namespace {
 struct Cli {
   unsigned Threads = 0;
   unsigned Shards = 4;
-  std::string Engine = "vm";
+  std::string Engine = vm::DefaultEngineName;
   bool Prune = false;
   bool Json = false;
   std::string JsonPath;

@@ -175,33 +175,18 @@ struct CampaignOptions {
   /// through the access log) instead of simulating every step. It settles
   /// the verdict outright when the taint dies out or is never read again,
   /// and hands off to concrete simulation the moment an event falls
-  /// outside the provable cases. Verdict tables and violation lists are
-  /// bit-identical with and without this flag (the fold oracle asserts
-  /// it); only wall-clock time and the lockstep counters change. The
-  /// replay is not faster everywhere: it wins where faults drain and
-  /// loses on tight loops with dense register reuse (EXPERIMENTS.md,
-  /// "Convergence acceleration"). Ignored
-  /// by recovery campaigns (rollback replays re-diverge from the
-  /// reference), typed campaigns (they must type every intermediate state)
-  /// and plan campaigns (earlier injections already diverged the state).
+  /// outside the provable cases. The continuations of one snapshot that
+  /// hand off are sorted by their bail step and share one rolled
+  /// reconstruction of the reference state there. Verdict tables and
+  /// violation lists are bit-identical with and without this flag (the
+  /// fold oracle asserts it); only wall-clock time and the lockstep
+  /// counters change. The replay is not faster everywhere: it wins where
+  /// faults drain and loses on tight loops with dense register reuse
+  /// (EXPERIMENTS.md, "Convergence acceleration"). Ignored by recovery
+  /// campaigns (rollback replays re-diverge from the reference), typed
+  /// campaigns (they must type every intermediate state) and plan
+  /// campaigns (earlier injections already diverged the state).
   bool Converge = true;
-  /// Batched lane execution: tasks that resume from the same reference
-  /// step are grouped and advanced in lockstep through one decoded
-  /// micro-op stream (vm/LaneEngine.h), amortizing fetch and boundary
-  /// checks across the group. Register sites on the program counters stay
-  /// scalar (their continuations diverge at the very next fetch); with
-  /// Converge on, register-site tasks go through the differential replay
-  /// first and only the bailed residue is batched, grouped by bail step.
-  /// Memory and queue sites are batched from their snapshot. Verdict
-  /// tables and violation lists are bit-identical with and without lanes,
-  /// for every width, engine, thread count and resume mode; only
-  /// wall-clock time and the lane statistics change. Ignored by recovery
-  /// campaigns, typed campaigns and plan campaigns.
-  bool Lanes = true;
-  /// Lanes per group (1 = degenerate scalar batching, useful for
-  /// differential testing). Groups narrower than this form when a
-  /// reference step has fewer batched tasks left.
-  unsigned LaneWidth = 16;
   /// Deterministic shard partition of the task list: the enumerated tasks
   /// are split into ShardCount contiguous ranges (shard I covers
   /// [I*T/N, (I+1)*T/N) of the T enumerated tasks) and only shard
@@ -234,7 +219,8 @@ struct CampaignStats {
   double TriplesPerSecond = 0;
   unsigned ThreadsUsed = 1;
   uint64_t Tasks = 0;
-  /// Name of the engine that produced the verdicts ("reference", "vm").
+  /// Name of the engine that produced the verdicts ("reference", "vm",
+  /// "jit").
   const char *Engine = "reference";
   /// True when CampaignOptions::Prune was requested and the analysis
   /// accepted the program (pruning actually ran).
@@ -249,9 +235,9 @@ struct CampaignStats {
   /// could be built (the CFG analysis accepted the program).
   bool CfiChecked = false;
   /// Committed indirect transfers observed / flagged by the CFI hook.
-  /// Commit counts are an execution-strategy diagnostic (lane grouping
-  /// and the differential replay legitimately change how many commits
-  /// execute); the soundness claim is CfiViolations == 0.
+  /// Commit counts are an execution-strategy diagnostic (the differential
+  /// replay legitimately changes how many commits execute); the soundness
+  /// claim is CfiViolations == 0.
   uint64_t CfiCommits = 0;
   uint64_t CfiViolations = 0;
   /// True when the differential replay was active for this campaign.
@@ -262,21 +248,6 @@ struct CampaignStats {
   /// the skipped prefix of runs that bailed to concrete simulation).
   uint64_t LockstepSkips = 0;
   uint64_t LockstepSteps = 0;
-  /// True when batched lane execution was active for this campaign.
-  bool Lanes = false;
-  /// The configured group width (meaningful only with Lanes).
-  unsigned LaneWidth = 0;
-  /// Lane groups executed, continuations classified through the lane
-  /// path, lanes that deviated to the scalar fallback mid-group, and the
-  /// total lane-steps executed inside lockstep groups. All are
-  /// order-independent sums, as thread-deterministic as the table — but
-  /// unlike the verdict counters they legitimately differ between lane
-  /// and scalar runs of the same campaign (they describe the execution
-  /// strategy, not the outcome).
-  uint64_t LaneGroups = 0;
-  uint64_t LaneTasks = 0;
-  uint64_t LaneDeviations = 0;
-  uint64_t LaneLockstepSteps = 0;
   /// True when the selected engine was the JIT tier (vm/JitEngine.h) and
   /// it actually emitted native code; false under --engine jit on a host
   /// without executable mappings (the campaign then ran on the embedded
@@ -287,13 +258,10 @@ struct CampaignStats {
   /// Per-program constants, so foldShardResult takes the max, not the sum.
   uint64_t JitBlocksCompiled = 0;
   uint64_t JitCodeBytes = 0;
-  /// Native-to-driver transitions during this campaign. Like the lane
+  /// Native-to-driver transitions during this campaign. Like the lockstep
   /// counters this describes the execution strategy, not the outcome:
-  /// thread scheduling and lane grouping legitimately change it.
+  /// thread scheduling legitimately changes it.
   uint64_t JitSideExits = 0;
-  /// int64 lanes per vector op in the batched lane banks (vm/LaneSimd.h):
-  /// 4 = AVX2, 2 = SSE2, 1 = portable scalar build.
-  unsigned SimdLaneWidth = 0;
   /// Shard provenance: which contiguous slice of the enumerated task list
   /// this result covers. ShardCount 1 / TotalTasks == Tasks describes an
   /// unsharded run; after foldShardResult, ShardsFolded counts the shard
@@ -403,7 +371,7 @@ CampaignResult runInjectionPlans(const PlanCampaign &Spec,
 /// \p MaxViolations equals the unsharded list. After folding all N shards
 /// the result is bit-identical to the unsharded campaign: same table,
 /// same violations, same Ok, same ReferenceSteps. Wall-clock stats sum
-/// (total compute, not elapsed time); lane/convergence strategy counters
+/// (total compute, not elapsed time); the convergence strategy counters
 /// sum exactly because each task's classification path is deterministic.
 void foldShardResult(CampaignResult &Acc, const CampaignResult &Shard,
                      size_t MaxViolations = 16);

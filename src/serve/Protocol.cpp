@@ -28,8 +28,6 @@ uint64_t talft::serve::optionsDigest(const SubmitSpec &S) {
   Add(S.OnlyMentionedRegisters);
   Add(S.Prune);
   Add(S.Converge);
-  Add(S.Lanes);
-  Add(S.LaneWidth);
   Add(S.Recover);
   Add(S.CheckpointInterval);
   Add(S.RetryBudget);
@@ -52,8 +50,6 @@ TheoremConfig talft::serve::theoremConfig(const SubmitSpec &S,
 void talft::serve::applySpecOptions(const SubmitSpec &S, CampaignOptions &O) {
   O.Prune = S.Prune;
   O.Converge = S.Converge;
-  O.Lanes = S.Lanes;
-  O.LaneWidth = S.LaneWidth;
 }
 
 bool talft::serve::specFromJson(const JsonValue &V, SubmitSpec &Out,
@@ -74,7 +70,7 @@ bool talft::serve::specFromJson(const JsonValue &V, SubmitSpec &Out,
     Err = "unknown lang \"" + Out.Lang + "\" (expected \"wile\" or \"tal\")";
     return false;
   }
-  Out.Engine = V.stringAt("engine", "vm");
+  Out.Engine = V.stringAt("engine", Out.Engine);
   if (Out.Engine != "vm" && Out.Engine != "reference" && Out.Engine != "jit") {
     Err = "unknown engine \"" + Out.Engine +
           "\" (expected \"vm\", \"reference\" or \"jit\")";
@@ -87,12 +83,6 @@ bool talft::serve::specFromJson(const JsonValue &V, SubmitSpec &Out,
       V.boolAt("only_mentioned_registers", Out.OnlyMentionedRegisters);
   Out.Prune = V.boolAt("prune", Out.Prune);
   Out.Converge = V.boolAt("converge", Out.Converge);
-  Out.Lanes = V.boolAt("lanes", Out.Lanes);
-  Out.LaneWidth = (unsigned)V.u64At("lane_width", Out.LaneWidth);
-  if (Out.LaneWidth == 0) {
-    Err = "lane_width must be nonzero";
-    return false;
-  }
   Out.Recover = V.boolAt("recover", Out.Recover);
   Out.CheckpointInterval =
       V.u64At("checkpoint_interval", Out.CheckpointInterval);
@@ -116,15 +106,13 @@ std::string talft::serve::submitRequestJson(const SubmitSpec &S) {
   Out += ", \"engine\": " + jsonQuote(S.Engine);
   Out += formatv(", \"stride\": %llu, \"max_steps\": %llu, "
                  "\"extra_steps\": %llu, \"only_mentioned_registers\": %s, "
-                 "\"prune\": %s, \"converge\": %s, \"lanes\": %s, "
-                 "\"lane_width\": %u, \"recover\": %s, "
+                 "\"prune\": %s, \"converge\": %s, \"recover\": %s, "
                  "\"checkpoint_interval\": %llu, \"retry_budget\": %llu, "
                  "\"shards\": %u",
                  (unsigned long long)S.Stride, (unsigned long long)S.MaxSteps,
                  (unsigned long long)S.ExtraSteps,
                  S.OnlyMentionedRegisters ? "true" : "false",
                  S.Prune ? "true" : "false", S.Converge ? "true" : "false",
-                 S.Lanes ? "true" : "false", S.LaneWidth,
                  S.Recover ? "true" : "false",
                  (unsigned long long)S.CheckpointInterval,
                  (unsigned long long)S.RetryBudget, S.Shards);
@@ -183,20 +171,11 @@ bool talft::serve::campaignFromJson(const JsonValue &V, CampaignResult &R,
     R.Stats.LockstepSkips = Conv->u64At("lockstep_skips", 0);
     R.Stats.LockstepSteps = Conv->u64At("lockstep_steps", 0);
   }
-  if (const JsonValue *Lanes = V.get("lanes")) {
-    R.Stats.Lanes = Lanes->boolAt("enabled", false);
-    R.Stats.LaneWidth = (unsigned)Lanes->u64At("width", 0);
-    R.Stats.LaneGroups = Lanes->u64At("groups", 0);
-    R.Stats.LaneTasks = Lanes->u64At("lane_tasks", 0);
-    R.Stats.LaneDeviations = Lanes->u64At("deviations", 0);
-    R.Stats.LaneLockstepSteps = Lanes->u64At("lockstep_steps", 0);
-  }
   if (const JsonValue *Jit = V.get("jit")) {
     R.Stats.JitNative = Jit->boolAt("native", false);
     R.Stats.JitBlocksCompiled = Jit->u64At("blocks_compiled", 0);
     R.Stats.JitCodeBytes = Jit->u64At("code_bytes", 0);
     R.Stats.JitSideExits = Jit->u64At("side_exits", 0);
-    R.Stats.SimdLaneWidth = (unsigned)Jit->u64At("simd_lane_width", 0);
   }
   if (const JsonValue *Shard = V.get("shard")) {
     R.Stats.ShardCount = (unsigned)Shard->u64At("count", 1);

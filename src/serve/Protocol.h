@@ -11,11 +11,10 @@
 /// Requests ({"cmd": ...}):
 ///
 ///   {"cmd":"submit", "lang":"wile"|"tal", "source":"...", "name":"...",
-///    "engine":"vm"|"reference", "stride":0, "max_steps":N,
+///    "engine":"jit"|"vm"|"reference", "stride":0, "max_steps":N,
 ///    "extra_steps":N, "only_mentioned_registers":b, "prune":b,
-///    "converge":b, "lanes":b, "lane_width":N, "recover":b,
-///    "checkpoint_interval":N, "retry_budget":N, "shards":N,
-///    "deadline_ms":N}
+///    "converge":b, "recover":b, "checkpoint_interval":N,
+///    "retry_budget":N, "shards":N, "deadline_ms":N}
 ///     Every option is optional and defaults to the batch CLI's defaults
 ///     (stride 0 = the fig10 adaptive stride max(1, refSteps/12)).
 ///   {"cmd":"stats"}   one stats document (also served as HTTP "GET /stats")
@@ -35,7 +34,7 @@
 /// This header also owns the memoization key: a submission is addressed
 /// by (whole-program content hash × options digest). The digest covers
 /// every semantic campaign option — engine, stride, budgets, site filter,
-/// prune, converge, lanes, lane width, recovery knobs — so any option
+/// prune, converge, recovery knobs — so any option
 /// change is a cache miss; thread count and shard count are excluded
 /// because the verdict table is provably independent of both.
 ///
@@ -46,6 +45,7 @@
 
 #include "fault/Campaign.h"
 #include "serve/Json.h"
+#include "vm/Engine.h"
 
 #include <string>
 
@@ -54,9 +54,10 @@ namespace talft::serve {
 /// v2 adds the fail-operational fields: "retry_after_ms" on overloaded
 /// errors, "shard_poisoned"/"deadline_exceeded" error codes, the
 /// "deadline_ms" submit option, per-shard "attempts" provenance, and the
-/// pool/wal/admission objects in the stats document.
+/// pool/wal/admission objects in the stats document. Stats v3 drops the
+/// retired lane engine's "lanes" object.
 inline constexpr const char *ProtocolSchema = "talft-serve-v2";
-inline constexpr const char *StatsSchema = "talft-serve-stats-v2";
+inline constexpr const char *StatsSchema = "talft-serve-stats-v3";
 inline constexpr const char *CacheSchema = "talft-serve-cache-v1";
 
 /// One submission: a program plus the campaign options that shape its
@@ -67,7 +68,8 @@ struct SubmitSpec {
   std::string Name;        ///< Display name (reports and logs only).
   std::string Lang = "wile"; ///< "wile" or "tal".
   std::string Source;
-  std::string Engine = "vm"; ///< "vm" or "reference".
+  /// "jit", "vm" or "reference".
+  std::string Engine = vm::DefaultEngineName;
   /// Injection stride; 0 = adaptive max(1, referenceSteps / 12), the
   /// batch CLI's --fig10 rule.
   uint64_t Stride = 0;
@@ -76,8 +78,6 @@ struct SubmitSpec {
   bool OnlyMentionedRegisters = true;
   bool Prune = false;
   bool Converge = true;
-  bool Lanes = true;
-  unsigned LaneWidth = 16;
   bool Recover = false;
   uint64_t CheckpointInterval = 1;
   uint64_t RetryBudget = 2;
@@ -99,13 +99,13 @@ uint64_t optionsDigest(const SubmitSpec &S);
 /// resolved to \p Stride.
 TheoremConfig theoremConfig(const SubmitSpec &S, uint64_t Stride);
 
-/// Fills the semantic campaign knobs (prune/converge/lanes/width) of
+/// Fills the semantic campaign knobs (prune/converge) of
 /// \p O from \p S. Engine, threads and the shard slice stay the
 /// caller's business.
 void applySpecOptions(const SubmitSpec &S, CampaignOptions &O);
 
 /// Parses a {"cmd":"submit"} document. Returns false with \p Err set on
-/// a missing source, an unknown lang/engine, or a zero lane width.
+/// a missing source, an unknown lang/engine, or a zero step budget.
 bool specFromJson(const JsonValue &V, SubmitSpec &Out, std::string &Err);
 
 /// Renders \p S as the submit request line (no trailing newline) — the
@@ -114,7 +114,7 @@ std::string submitRequestJson(const SubmitSpec &S);
 
 /// Rebuilds a CampaignResult from campaignToJson's output (as parsed by
 /// JsonValue). Exact for every integer field — verdict tables, violation
-/// lists, shard provenance, convergence/lane/recovery counters — and
+/// lists, shard provenance, convergence/recovery counters — and
 /// approximate only for the float timing stats. ReferenceTrace is not
 /// serialized and stays empty. Returns false with \p Err set when the
 /// object is not a campaign.

@@ -13,7 +13,6 @@
 #include "support/StringUtils.h"
 #include "tal/Parser.h"
 #include "vm/Engine.h"
-#include "vm/JitEngine.h"
 #include "wile/Codegen.h"
 
 #include <algorithm>
@@ -458,8 +457,6 @@ void Server::noteShardRetired(const CampaignResult &R) {
   Counters.ShardSeconds += R.Stats.WallSeconds;
   Counters.LockstepSkips += R.Stats.LockstepSkips;
   Counters.LockstepSteps += R.Stats.LockstepSteps;
-  Counters.LaneGroups += R.Stats.LaneGroups;
-  Counters.LaneTasks += R.Stats.LaneTasks;
 }
 
 void Server::handleSubmit(int Fd, const JsonValue &Request) {
@@ -615,15 +612,9 @@ void Server::runSubmission(int Fd, const SubmitSpec &Spec,
   // Engine choice is provenance, not policy: tables are engine-invariant
   // by the engine contract, and the options digest keeps entries from
   // answering across engines.
-  std::unique_ptr<ExecEngine> Vm;
-  const ExecEngine *E = &referenceEngine();
-  if (Spec.Engine == "vm") {
-    Vm = vm::createEngine(Prog->code());
-    E = Vm.get();
-  } else if (Spec.Engine == "jit") {
-    Vm = vm::createJitEngine(Prog->code());
-    E = Vm.get();
-  }
+  std::unique_ptr<ExecEngine> Eng =
+      vm::createEngineByName(Spec.Engine, Prog->code());
+  const ExecEngine *E = Eng ? Eng.get() : &referenceEngine();
 
   // Stride: explicit, or adapted from the reference length exactly as the
   // batch CLI's fig10 sweep does (max(1, steps/12)). Step counts are
@@ -720,7 +711,7 @@ void Server::runSubmission(int Fd, const SubmitSpec &Spec,
     } else {
       CampaignOptions CO;
       CO.Threads = Opts.CampaignThreads;
-      CO.Engine = Vm.get(); // null for the reference interpreter
+      CO.Engine = Eng.get(); // null for the reference interpreter
       applySpecOptions(Spec, CO);
       CO.ShardCount = Shards;
       CO.ShardIndex = I;
@@ -878,11 +869,8 @@ std::string Server::statsJson() const {
                (unsigned long long)C.TasksClassified, C.ShardSeconds,
                Throughput);
   S += formatv(", \"convergence\": {\"lockstep_skips\": %llu, "
-               "\"lockstep_steps\": %llu}",
+               "\"lockstep_steps\": %llu}}",
                (unsigned long long)C.LockstepSkips,
                (unsigned long long)C.LockstepSteps);
-  S += formatv(", \"lanes\": {\"groups\": %llu, \"lane_tasks\": %llu}}",
-               (unsigned long long)C.LaneGroups,
-               (unsigned long long)C.LaneTasks);
   return S;
 }

@@ -45,7 +45,7 @@
 ///   - introspection: a "stats" request (or HTTP "GET /stats") reports
 ///     queue depth, cache hit rate, shard throughput, pool health
 ///     (including live worker pids, which the chaos harness uses as its
-///     kill list), WAL counters and the summed convergence/lane counters
+///     kill list), WAL counters and the summed convergence counters
 ///     of every served campaign.
 ///
 //===----------------------------------------------------------------------===//
@@ -142,8 +142,6 @@ struct ServeCounters {
   double ShardSeconds = 0;
   uint64_t LockstepSkips = 0;
   uint64_t LockstepSteps = 0;
-  uint64_t LaneGroups = 0;
-  uint64_t LaneTasks = 0;
 };
 
 class Server {

@@ -12,7 +12,6 @@
 #include "support/StringUtils.h"
 #include "tal/Parser.h"
 #include "vm/Engine.h"
-#include "vm/JitEngine.h"
 #include "wile/Codegen.h"
 
 #include <cerrno>
@@ -74,21 +73,14 @@ struct CompiledEntry {
   std::optional<Program> Parsed;
   const Program *Prog = nullptr;
   std::string CompileError; // sticky: a source that failed once fails fast
-  std::unique_ptr<ExecEngine> Vm;
-  std::unique_ptr<ExecEngine> Jit;
+  std::unordered_map<std::string, std::unique_ptr<ExecEngine>> Engines;
 
+  /// Null for the reference interpreter, CampaignOptions' default.
   const ExecEngine *engineFor(const std::string &Name) {
-    if (Name == "vm") {
-      if (!Vm)
-        Vm = vm::createEngine(Prog->code());
-      return Vm.get();
-    }
-    if (Name == "jit") {
-      if (!Jit)
-        Jit = vm::createJitEngine(Prog->code());
-      return Jit.get();
-    }
-    return nullptr; // reference interpreter: CampaignOptions' default
+    std::unique_ptr<ExecEngine> &E = Engines[Name];
+    if (!E)
+      E = vm::createEngineByName(Name, Prog->code());
+    return E.get();
   }
 };
 

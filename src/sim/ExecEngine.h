@@ -15,11 +15,13 @@
 /// step counts, same StepPolicy handling — on every state, including the
 /// corrupted mid-instruction states the fault model produces.
 ///
-/// Two implementations ship:
+/// Three implementations ship:
 ///   - referenceEngine(): the structural small-step interpreter (Step.cpp),
 ///     stateless, valid for any program;
 ///   - vm::createEngine() (vm/Engine.h): a pre-decoded micro-op engine bound
-///     to one CodeMemory, roughly an order of magnitude faster per step.
+///     to one CodeMemory, several times faster per step;
+///   - vm::createJitEngine() (vm/JitEngine.h): native x86-64 code over the
+///     same micro-ops, the default engine (vm::DefaultEngineName).
 ///
 /// The checkpoint/rollback layer (recover/RecoveringEngine.h) composes on
 /// top of this interface: it drives any engine through step() and turns the
@@ -52,7 +54,8 @@ public:
 
   virtual ~ExecEngine() = default;
 
-  /// Stable engine name ("reference", "vm") used in CLIs and JSON reports.
+  /// Stable engine name ("reference", "vm", "jit") used in CLIs and JSON
+  /// reports.
   virtual const char *name() const = 0;
 
   /// One transition of \p S; exactly talft::step.

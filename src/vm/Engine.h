@@ -30,6 +30,7 @@
 #include "vm/Decode.h"
 
 #include <memory>
+#include <string_view>
 
 namespace talft::vm {
 
@@ -58,6 +59,16 @@ private:
 /// Convenience factory: decodes \p Code and returns the engine as an
 /// ExecEngine handle. \p Code must outlive the engine.
 std::unique_ptr<ExecEngine> createEngine(const CodeMemory &Code);
+
+/// The engine the CLIs and the certification server run when none is
+/// named. On hosts without native code the JIT runs its embedded vm.
+inline constexpr const char *DefaultEngineName = "jit";
+
+/// Builds the engine called \p Name ("vm" or "jit") for \p Code. Returns
+/// null for "reference" — the structural interpreter, CampaignOptions'
+/// default — and for any other name. \p Code must outlive the engine.
+std::unique_ptr<ExecEngine> createEngineByName(std::string_view Name,
+                                               const CodeMemory &Code);
 
 } // namespace talft::vm
 

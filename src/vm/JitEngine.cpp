@@ -24,6 +24,15 @@
 using namespace talft;
 using namespace talft::vm;
 
+std::unique_ptr<ExecEngine> vm::createEngineByName(std::string_view Name,
+                                                   const CodeMemory &Code) {
+  if (Name == "vm")
+    return createEngine(Code);
+  if (Name == "jit")
+    return createJitEngine(Code);
+  return nullptr;
+}
+
 std::unique_ptr<ExecEngine> vm::createJitEngine(const CodeMemory &Code) {
   return std::make_unique<JitEngine>(Code);
 }

@@ -56,15 +56,18 @@ Program parseOrDie(TypeContext &TC, const NamedProgram &NP) {
 }
 
 // Replayed campaigns fold bit-identically to unreplayed ones — same
-// verdict table, violations, reference run and Ok — across engines,
-// thread counts and resume modes (runSingleFaultCampaign covers
-// raw-semantics programs including the ill-typed one).
+// verdict table, violations, reference run and Ok — across engines (the
+// default jit among them), thread counts and resume modes
+// (runSingleFaultCampaign covers raw-semantics programs including the
+// ill-typed one).
 TEST(ReplayFold, SingleFaultCampaignsBitIdentical) {
   uint64_t TotalDischarged = 0;
   for (const NamedProgram &NP : allPrograms()) {
     TypeContext TC;
     Program P = parseOrDie(TC, NP);
     std::unique_ptr<ExecEngine> Vm = vm::createEngine(P.code());
+    std::unique_ptr<ExecEngine> Jit =
+        vm::createEngineByName(vm::DefaultEngineName, P.code());
     TheoremConfig Config;
     Config.InjectionStride = 2; // keep the exhaustive sweep unit-sized
 
@@ -83,6 +86,8 @@ TEST(ReplayFold, SingleFaultCampaignsBitIdentical) {
         {nullptr, 8, ResumeMode::Replay},
         {Vm.get(), 1, ResumeMode::Replay},
         {Vm.get(), 8, ResumeMode::Snapshot},
+        {Jit.get(), 1, ResumeMode::Snapshot},
+        {Jit.get(), 8, ResumeMode::Replay},
     };
     for (const Combo &C : Combos) {
       CampaignOptions Opts;

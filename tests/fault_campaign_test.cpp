@@ -221,6 +221,42 @@ TEST(FaultCampaignTest, CrossColorDoubleFaultPlansCorruptSilently) {
   EXPECT_EQ(Serial.Table, Result.Table);
 }
 
+TEST(FaultCampaignTest, PlansIgnoreConverge) {
+  // Plan campaigns never use the differential replay (earlier injections
+  // have already diverged the state from the reference), so the
+  // double-fault ablation's sweep folds bit-identically with Converge on
+  // and off, at any thread count.
+  Loaded L;
+  ASSERT_NO_FATAL_FAILURE(L.load(progs::PairedStore));
+  PlanCampaign Spec;
+  Spec.Prog = &*L.Prog;
+  CampaignResult Probe = runInjectionPlans(Spec, CampaignOptions());
+  ASSERT_TRUE(Probe.Ok);
+  for (uint64_t S1 = 0; S1 <= Probe.ReferenceSteps; S1 += 2)
+    for (uint64_t S2 = S1; S2 <= Probe.ReferenceSteps; S2 += 2)
+      Spec.Plans.push_back({{S1, FaultSite::reg(Reg::general(1)), 99},
+                            {S2, FaultSite::reg(Reg::general(3)), 99}});
+
+  CampaignOptions First;
+  First.Converge = false;
+  CampaignResult Baseline = runInjectionPlans(Spec, First);
+  EXPECT_GT(Baseline.Table.total(), 0u);
+  EXPECT_FALSE(Baseline.Stats.Converge);
+  for (bool Converge : {false, true})
+    for (unsigned Threads : {1u, 4u}) {
+      CampaignOptions Opts;
+      Opts.Converge = Converge;
+      Opts.Threads = Threads;
+      CampaignResult R = runInjectionPlans(Spec, Opts);
+      std::string At = std::string("converge=") + (Converge ? "1" : "0") +
+                       " threads=" + std::to_string(Threads);
+      EXPECT_EQ(R.Ok, Baseline.Ok) << At;
+      EXPECT_EQ(R.Table, Baseline.Table) << At;
+      EXPECT_EQ(R.Violations, Baseline.Violations) << At;
+      EXPECT_FALSE(R.Stats.Converge) << At;
+    }
+}
+
 TEST(FaultCampaignTest, JsonReportHasSchemaFields) {
   Loaded L;
   ASSERT_NO_FATAL_FAILURE(L.load(progs::PairedStore));

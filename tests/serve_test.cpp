@@ -331,7 +331,6 @@ TEST(ServeJson, CampaignRoundTripsThroughTheWireForm) {
   EXPECT_EQ(Back.Stats.Tasks, R.Stats.Tasks);
   EXPECT_EQ(Back.Stats.LockstepSkips, R.Stats.LockstepSkips);
   EXPECT_EQ(Back.Stats.LockstepSteps, R.Stats.LockstepSteps);
-  EXPECT_EQ(Back.Stats.LaneTasks, R.Stats.LaneTasks);
   EXPECT_EQ(Back.Stats.ShardCount, R.Stats.ShardCount);
   EXPECT_STREQ(Back.Stats.Engine, R.Stats.Engine);
 }
@@ -344,18 +343,17 @@ TEST(MemoStore, EveryOptionChangeChangesTheDigest) {
   Base.Source = "irrelevant";
   uint64_t D0 = optionsDigest(Base);
 
-  std::vector<SubmitSpec> Variants(11, Base);
+  std::vector<SubmitSpec> Variants(10, Base);
   Variants[0].Engine = "reference";
-  Variants[1].Stride = 7;
-  Variants[2].MaxSteps = 12345;
-  Variants[3].ExtraSteps = 1;
-  Variants[4].OnlyMentionedRegisters = false;
-  Variants[5].Prune = true;
-  Variants[6].Converge = false;
-  Variants[7].Lanes = false;
-  Variants[8].LaneWidth = 8;
-  Variants[9].Recover = true;
-  Variants[10].RetryBudget = 9;
+  Variants[1].Engine = "vm";
+  Variants[2].Stride = 7;
+  Variants[3].MaxSteps = 12345;
+  Variants[4].ExtraSteps = 1;
+  Variants[5].OnlyMentionedRegisters = false;
+  Variants[6].Prune = true;
+  Variants[7].Converge = false;
+  Variants[8].Recover = true;
+  Variants[9].RetryBudget = 9;
   std::vector<uint64_t> Digests{D0};
   for (const SubmitSpec &S : Variants)
     Digests.push_back(optionsDigest(S));
@@ -367,6 +365,20 @@ TEST(MemoStore, EveryOptionChangeChangesTheDigest) {
   SubmitSpec Sharded = Base;
   Sharded.Shards = 16;
   EXPECT_EQ(optionsDigest(Sharded), D0);
+}
+
+// A bare submit keys exactly like the batch defaults: every field the
+// request leaves out, the engine included, falls back to SubmitSpec{}, so
+// the server and the batch CLI write the same memo key.
+TEST(MemoStore, BareSubmitDigestsLikeTheDefaultSpec) {
+  std::string Err;
+  std::optional<JsonValue> V =
+      JsonValue::parse("{\"cmd\": \"submit\", \"source\": \"x\"}", &Err);
+  ASSERT_TRUE(V.has_value()) << Err;
+  SubmitSpec Parsed;
+  ASSERT_TRUE(specFromJson(*V, Parsed, Err)) << Err;
+  EXPECT_EQ(Parsed.Engine, SubmitSpec{}.Engine);
+  EXPECT_EQ(optionsDigest(Parsed), optionsDigest(SubmitSpec{}));
 }
 
 TEST(MemoStore, HitsMissesAndInvalidation) {
@@ -464,10 +476,11 @@ TEST(MemoStore, DiskPersistenceRoundTripsAndSurvivesRestart) {
   EXPECT_TRUE(Fresh.lookup(Key).has_value());
 }
 
-// Campaign schema v9 dropped the convergence probe's counters from the
-// campaign object, but the memo cache format did not change: an entry a
-// v8 server wrote, early_exits and all, still loads and answers a
-// resubmission with the same table.
+// Campaign schema v9 dropped the convergence probe's counters and v10 the
+// lane engine's from the campaign object, but the memo cache format did
+// not change: an entry a v8 server wrote, early_exits and all, or a v9
+// server wrote, with its lanes object and the jit SIMD width, still
+// loads and answers a resubmission with the same table.
 TEST(ServeEndToEnd, V8MemoEntryStillAnswers) {
   std::string Dir = tempDir();
   ASSERT_FALSE(Dir.empty());
@@ -501,41 +514,59 @@ TEST(ServeEndToEnd, V8MemoEntryStillAnswers) {
     S.stop();
   }
 
-  // Rewrite the cached campaign's convergence object into its v8 shape.
-  std::string Text;
+  std::string Current;
   {
     std::ifstream In(Path);
     ASSERT_TRUE(In.good()) << Path;
-    Text.assign(std::istreambuf_iterator<char>(In),
-                std::istreambuf_iterator<char>());
+    Current.assign(std::istreambuf_iterator<char>(In),
+                   std::istreambuf_iterator<char>());
   }
-  const std::string Key = "\"convergence\": {\"enabled\": ";
-  size_t At = Text.find(Key);
-  ASSERT_NE(At, std::string::npos);
-  At = Text.find(", ", At + Key.size());
-  ASSERT_NE(At, std::string::npos);
-  Text.insert(At + 2, "\"early_exits\": 7, \"mean_window\": 3.00, "
-                      "\"window_sum\": 21, \"max_window\": 5, "
-                      "\"steps_saved\": 99, ");
-  {
-    std::ofstream Out(Path, std::ios::trunc);
-    Out << Text;
-  }
+  // Replaces the first match of \p Key in \p Text with \p With.
+  auto ReplaceFirst = [](std::string &Text, const std::string &Key,
+                         const std::string &With) {
+    size_t At = Text.find(Key);
+    if (At == std::string::npos)
+      return false;
+    Text.replace(At, Key.size(), With);
+    return true;
+  };
+  // The v8 shape: the probe's counters inside the convergence object.
+  std::string V8 = Current;
+  ASSERT_TRUE(ReplaceFirst(V8, "\"convergence\": {",
+                           "\"convergence\": {\"early_exits\": 7, "
+                           "\"mean_window\": 3.00, \"window_sum\": 21, "
+                           "\"max_window\": 5, \"steps_saved\": 99, "));
+  // The v9 shape: the lanes object and the jit object's SIMD width.
+  std::string V9 = Current;
+  ASSERT_TRUE(ReplaceFirst(
+      V9, "\"jit\": {",
+      "\"lanes\": {\"enabled\": true, \"width\": 16, \"groups\": 3, "
+      "\"lane_tasks\": 40, \"deviations\": 1, \"lockstep_steps\": 500}, "
+      "\"jit\": {\"simd_lane_width\": 2, "));
 
-  ServerOptions SO;
-  SO.CacheDir = Dir;
-  Server S(SO);
-  std::string Err;
-  ASSERT_TRUE(S.start(&Err)) << Err;
-  SubmitOutcome Warm = submitProgram("127.0.0.1", S.port(), Spec);
-  S.stop();
-  ASSERT_TRUE(Warm.Error.empty()) << Warm.Error;
-  ASSERT_TRUE(Warm.GotResult);
-  EXPECT_EQ(Warm.Cache, "hit");
-  EXPECT_EQ(Warm.ShardEvents, 0u);
-  expectSameCampaign(Warm.Campaign, Whole, "v8 entry vs direct");
-  EXPECT_EQ(Warm.Campaign.Stats.LockstepSkips, Whole.Stats.LockstepSkips);
-  EXPECT_EQ(Warm.Campaign.Stats.LockstepSteps, Whole.Stats.LockstepSteps);
+  for (const auto &[Shape, Text] :
+       {std::pair<std::string, std::string>{"v8", V8}, {"v9", V9}}) {
+    {
+      std::ofstream Out(Path, std::ios::trunc);
+      Out << Text;
+    }
+    ServerOptions SO;
+    SO.CacheDir = Dir;
+    Server S(SO);
+    std::string Err;
+    ASSERT_TRUE(S.start(&Err)) << Err;
+    SubmitOutcome Warm = submitProgram("127.0.0.1", S.port(), Spec);
+    S.stop();
+    ASSERT_TRUE(Warm.Error.empty()) << Shape << ": " << Warm.Error;
+    ASSERT_TRUE(Warm.GotResult) << Shape;
+    EXPECT_EQ(Warm.Cache, "hit") << Shape;
+    EXPECT_EQ(Warm.ShardEvents, 0u) << Shape;
+    expectSameCampaign(Warm.Campaign, Whole, Shape + " entry vs direct");
+    EXPECT_EQ(Warm.Campaign.Stats.LockstepSkips, Whole.Stats.LockstepSkips)
+        << Shape;
+    EXPECT_EQ(Warm.Campaign.Stats.LockstepSteps, Whole.Stats.LockstepSteps)
+        << Shape;
+  }
 }
 
 // Contract 5: the full loop over loopback.

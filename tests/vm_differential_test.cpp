@@ -440,7 +440,7 @@ TEST(JitDifferential, CampaignsAgreeWithVm) {
 
 TEST(JitDifferential, Fig10KernelCampaignsAgreeWithVm) {
   // The full engine ladder over every Figure 10 kernel: the jit campaign
-  // (convergence + lanes on, the production configuration) must fold
+  // (convergence on, the production configuration) must fold
   // bit-identically onto the vm campaign.
   unsigned Checked = 0;
   for (const wile::Kernel &K : wile::benchmarkKernels()) {

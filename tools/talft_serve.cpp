@@ -36,14 +36,13 @@
 //   talft-serve --client --port N [--host H]
 //       (--submit-kernel NAME | --submit-file FILE [--lang wile|tal]
 //        | --stats | --ping)
-//       [--engine vm|reference|jit] [--stride N] [--shards N] [--prune]
-//       [--no-converge] [--no-lanes] [--lane-width N] [--recover]
-//       [--checkpoint-interval N] [--retry-budget N] [--deadline-ms N]
-//       [--json FILE]
+//       [--engine jit|vm|reference] [--stride N] [--shards N] [--prune]
+//       [--no-converge] [--recover] [--checkpoint-interval N]
+//       [--retry-budget N] [--deadline-ms N] [--json FILE]
 //
 // submits a Figure 10 kernel by name (wile/Kernels.h) or a source file,
 // prints the streamed events' summary, and with --json writes the served
-// campaign as a talft-fault-campaign-v9 document — the same renderer the
+// campaign as a talft-fault-campaign-v10 document — the same renderer the
 // batch CLI uses, so the two are diffable field by field.
 //
 // Exit status: 0 success (campaign ok, or stats/ping answered); 1 when
@@ -319,10 +318,6 @@ int main(int Argc, char **Argv) {
       Spec.Prune = true;
     else if (!std::strcmp(A, "--no-converge"))
       Spec.Converge = false;
-    else if (!std::strcmp(A, "--no-lanes"))
-      Spec.Lanes = false;
-    else if (!std::strcmp(A, "--lane-width"))
-      Spec.LaneWidth = (unsigned)numArg(Argc, Argv, I);
     else if (!std::strcmp(A, "--recover"))
       Spec.Recover = true;
     else if (!std::strcmp(A, "--checkpoint-interval"))
