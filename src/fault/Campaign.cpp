@@ -147,45 +147,51 @@ std::string describeInjection(const FaultSite &Site, int64_t Value,
                  (long long)Value, (unsigned long long)AtStep, What);
 }
 
-/// Runs \p RunOne over every index in [0, Total) across \p Threads workers.
-/// Workers pull fixed-size chunks off an atomic cursor; because each task
-/// writes only its own slot, the schedule cannot affect results.
-void dispatchTasks(unsigned Threads, uint64_t Total,
-                   const std::function<void(uint64_t)> &RunOne,
-                   uint64_t ProgressInterval,
-                   const std::function<void(const CampaignProgress &)> &Progress) {
-  if (Total == 0)
-    return;
+/// Runs \p RunUnit over every work unit in [0, Units) across \p Threads
+/// workers (0 = hardware concurrency) and returns the number of workers
+/// that ran, the calling thread included (1 when there is no work). A
+/// unit is one task or a block of them: RunUnit returns how many tasks it
+/// classified, and Opts.Progress hears completed tasks out of
+/// \p TotalTasks. Workers pull fixed-size chunks off an atomic cursor;
+/// because each unit writes only its own result slots, the schedule
+/// cannot affect results.
+unsigned dispatchTasks(unsigned Threads, uint64_t Units, uint64_t TotalTasks,
+                       const std::function<uint64_t(uint64_t)> &RunUnit,
+                       const CampaignOptions &Opts) {
   if (Threads == 0)
     Threads = std::max(1u, std::thread::hardware_concurrency());
-  Threads = (unsigned)std::min<uint64_t>(Threads, Total);
+  Threads = (unsigned)std::min<uint64_t>(Threads, std::max<uint64_t>(1, Units));
+  if (Units == 0)
+    return Threads;
   uint64_t Chunk =
-      std::max<uint64_t>(1, std::min<uint64_t>(64, Total / (uint64_t(Threads) * 8)));
+      std::max<uint64_t>(1, std::min<uint64_t>(64, Units / (uint64_t(Threads) * 8)));
 
+  uint64_t Interval = Opts.Progress ? Opts.ProgressInterval : 0;
   std::atomic<uint64_t> Next{0};
   std::atomic<uint64_t> Completed{0};
   std::mutex ProgressMu;
   auto Work = [&] {
     while (true) {
       uint64_t Begin = Next.fetch_add(Chunk, std::memory_order_relaxed);
-      if (Begin >= Total)
+      if (Begin >= Units)
         return;
-      uint64_t End = std::min(Total, Begin + Chunk);
+      uint64_t End = std::min(Units, Begin + Chunk);
+      uint64_t N = 0;
       for (uint64_t I = Begin; I != End; ++I)
-        RunOne(I);
-      uint64_t Prev = Completed.fetch_add(End - Begin, std::memory_order_acq_rel);
-      uint64_t Done = Prev + (End - Begin);
-      if (Progress && ProgressInterval &&
-          (Done == Total || Done / ProgressInterval != Prev / ProgressInterval)) {
+        N += RunUnit(I);
+      uint64_t Prev = Completed.fetch_add(N, std::memory_order_acq_rel);
+      uint64_t Done = Prev + N;
+      if (Interval &&
+          (Done == TotalTasks || Done / Interval != Prev / Interval)) {
         std::lock_guard<std::mutex> Lock(ProgressMu);
-        Progress({Done, Total});
+        Opts.Progress({Done, TotalTasks});
       }
     }
   };
 
   if (Threads == 1) {
     Work();
-    return;
+    return 1;
   }
   std::vector<std::thread> Pool;
   Pool.reserve(Threads - 1);
@@ -194,7 +200,35 @@ void dispatchTasks(unsigned Threads, uint64_t Total,
   Work();
   for (std::thread &Th : Pool)
     Th.join();
+  return Threads;
 }
+
+/// Records which engine classifies a campaign: its name and the JIT tier's
+/// compile stats, which are per-program constants, then through finish()
+/// the campaign's share of the JIT's lifetime side-exit counter.
+class EngineProvenance {
+public:
+  EngineProvenance(const ExecEngine &E, CampaignStats &Stats)
+      : JE(dynamic_cast<const vm::JitEngine *>(&E)), Stats(Stats) {
+    Stats.Engine = E.name();
+    if (!JE)
+      return;
+    ExitsBefore = JE->sideExits();
+    Stats.JitNative = JE->native();
+    Stats.JitBlocksCompiled = JE->blocksCompiled();
+    Stats.JitCodeBytes = JE->codeBytes();
+  }
+
+  void finish() {
+    if (JE)
+      Stats.JitSideExits = JE->sideExits() - ExitsBefore;
+  }
+
+private:
+  const vm::JitEngine *JE;
+  CampaignStats &Stats;
+  uint64_t ExitsBefore = 0;
+};
 
 /// Registers the program mentions anywhere, plus the specials.
 std::set<unsigned> mentionedRegisters(const Program &Prog) {
@@ -472,7 +506,10 @@ struct DeferredBail {
   TaintMap Taint;
 };
 
-std::optional<Verdict>
+// Kept out of line: inlined into the snapshot-block classifier, its event
+// loop lost about 8% of the pruned Figure 10 sweep (perfbench fig10-prune,
+// 6 alternating pairs) to the larger caller's register allocation.
+[[gnu::noinline]] std::optional<Verdict>
 differentialReplay(const ReplayRecorder &Replay, const FaultSite &Site,
                    int64_t Value, uint64_t InjectedAt,
                    const MachineState &RefFinal, uint64_t RefSteps, ZapTag Z,
@@ -573,21 +610,23 @@ differentialReplay(const ReplayRecorder &Replay, const FaultSite &Site,
   return std::nullopt;
 }
 
-/// Runs the faulty state \p S — at reference step \p AtSteps, with the
-/// first \p TraceLen reference outputs already emitted — to completion on
-/// \p E and classifies it. The engine's runContinuation reproduces the
-/// serial checker's control flow exactly (exit check before budget check)
-/// so verdicts agree bit-for-bit with the historical classifier — and,
-/// since engines are observationally identical, for every engine.
+/// Runs the faulty state \p S to completion on \p E within \p Budget
+/// steps and classifies it. \p Prefix already accounts for the outputs
+/// emitted before \p S. The final state is compared with \p RefFinal
+/// modulo \p Z; a null \p Z (a plan that corrupted both colors) has no
+/// similarity index, so the run classifies on its trace alone. The
+/// engine's runContinuation reproduces the serial checker's control flow
+/// exactly (exit check before budget check) so verdicts agree bit-for-bit
+/// with the historical classifier — and, since engines are
+/// observationally identical, for every engine.
 Verdict classifyContinuation(const ExecEngine &E, Addr ExitAddr,
-                             const StepPolicy &Policy, uint64_t ExtraSteps,
-                             const OutputTrace &RefTrace,
-                             const MachineState &RefFinal, uint64_t RefSteps,
-                             MachineState &S, uint64_t AtSteps,
-                             size_t TraceLen, ZapTag Z) {
-  PrefixTracker Prefix{RefTrace, TraceLen};
+                             const StepPolicy &Policy, uint64_t Budget,
+                             PrefixTracker &Prefix,
+                             const MachineState &RefFinal, MachineState &S,
+                             const ZapTag *Z) {
+  const OutputTrace &RefTrace = Prefix.RefTrace;
   RunStatus St = E.runContinuation(
-      S, ExitAddr, RefSteps - AtSteps + ExtraSteps, Policy,
+      S, ExitAddr, Budget, Policy,
       [&Prefix](const QueueEntry &Out) { Prefix.track(Out); });
   switch (St) {
   case RunStatus::OutOfSteps:
@@ -601,7 +640,7 @@ Verdict classifyContinuation(const ExecEngine &E, Addr ExitAddr,
   }
   if (Prefix.Diverged || Prefix.MatchPos != RefTrace.size())
     return Verdict::SilentCorruption;
-  if (!similarStates(Z, S, RefFinal))
+  if (Z && !similarStates(*Z, S, RefFinal))
     return Verdict::DissimilarState;
   return Verdict::Masked;
 }
@@ -699,26 +738,25 @@ struct TypedOutcome {
   uint64_t Typechecked = 0;
 };
 
-/// The typed-mode continuation: identical classification, but every state
-/// (strided) is re-typed under the corrupted color's zap tag (Theorem 2
-/// part 2). Runs through TrackedRun and the shared TypeContext, hence
-/// serial-only.
+/// The typed-mode continuation from \p Run, restored to its injection
+/// point: identical classification, but every state (strided) is re-typed
+/// under the corrupted color's zap tag (Theorem 2 part 2). Runs through
+/// TrackedRun and the shared TypeContext, hence serial-only.
 TypedOutcome runTypedInjection(const TheoremConfig &Config, TrackedRun &Run,
-                               const TrackedRun::Snapshot &At,
                                const FaultSite &Site, int64_t Corruption,
-                               const TrackedRun::Snapshot &RefFinal,
+                               uint64_t RefSteps, const MachineState &RefFinal,
                                const OutputTrace &RefTrace) {
   TypedOutcome O;
-  Run.restore(At);
+  uint64_t AtSteps = Run.steps();
   Run.injectSingleFault(Site, Corruption);
 
   auto Fail = [&](Verdict V, const char *What) {
     O.V = V;
-    O.Detail = describeInjection(Site, Corruption, At.Steps, What);
+    O.Detail = describeInjection(Site, Corruption, AtSteps, What);
   };
 
   uint64_t TypeStride = std::max<uint64_t>(1, Config.FaultyTypeCheckStride);
-  uint64_t Budget = RefFinal.Steps - At.Steps + Config.ExtraSteps;
+  uint64_t Budget = RefSteps - AtSteps + Config.ExtraSteps;
   uint64_t Taken = 0;
   uint64_t SinceInjection = 0;
   while (true) {
@@ -758,7 +796,7 @@ TypedOutcome runTypedInjection(const TheoremConfig &Config, TrackedRun &Run,
     Fail(Verdict::SilentCorruption, abnormalMessage(Verdict::SilentCorruption));
     return O;
   }
-  if (!similarStates(Run.zapTag(), Run.state(), RefFinal.S)) {
+  if (!similarStates(Run.zapTag(), Run.state(), RefFinal)) {
     Fail(Verdict::DissimilarState, abnormalMessage(Verdict::DissimilarState));
     return O;
   }
@@ -801,21 +839,21 @@ std::unique_ptr<CfiTable> buildCfiTable(const Program &Prog,
   return Table;
 }
 
-/// Phase 2: the full work list in the order the serial checker visits it,
-/// so merged violation lists match it exactly. \p StateAt resolves the
-/// reference state of snapshot \p SI (typed and untyped campaigns store
-/// snapshots differently). With \p Prune, provably-dead register sites are
+/// Phase 2: the full work list over the injection-point snapshots \p Snaps
+/// in the order the serial checker visits it, so merged violation lists
+/// match it exactly. With \p Prune, provably-dead register sites are
 /// tallied into \p Table as StaticallyMasked instead of being enumerated —
 /// exactly the triples the unpruned sweep would have classified, so the
 /// table total is invariant under pruning.
 ///
-/// A non-null \p CtrlAhead ("some control instruction executes at or after
-/// this snapshot in the reference run", per snapshot) additionally arms
-/// the control-register discharge, which the caller enables only when the
-/// oracle vouches that the specials appear in control positions alone
+/// \p SpecialDischarge additionally arms the control-register discharge,
+/// which the caller enables only when the oracle vouches that the specials
+/// appear in control positions alone
 /// (ZapCoverage::specialSiteDischargeSound), the campaign is untyped and
-/// recovery-free, and ExtraSteps covers the predicted fault. The rules
-/// mirror the dynamic classifier exactly:
+/// recovery-free, and ExtraSteps covers the predicted fault. \p LastCtrl
+/// is the reference step count at which a control instruction was last in
+/// flight (-1 for none), so a snapshot taken at or before it still has a
+/// control ahead. The rules mirror the dynamic classifier exactly:
 ///
 ///   d-zap — no non-control instruction can read or write d, so the
 ///   corrupted value survives verbatim until the next control executes,
@@ -832,18 +870,17 @@ std::unique_ptr<CfiTable> buildCfiTable(const Program &Prog,
 ///   exactly (Masked).
 std::vector<InjectionTask>
 enumerateTasks(const Program &Prog, const TheoremConfig &Config,
-               size_t NumSnaps,
-               const std::function<const MachineState &(size_t)> &StateAt,
-               const analysis::ZapCoverage *Prune, VerdictTable &Table,
-               const std::vector<uint8_t> *CtrlAhead = nullptr) {
+               const std::vector<UntypedSnapshot> &Snaps,
+               const analysis::ZapCoverage *Prune, bool SpecialDischarge,
+               int64_t LastCtrl, VerdictTable &Table) {
   std::set<unsigned> UsedRegs;
   if (Config.OnlyMentionedRegisters)
     UsedRegs = mentionedRegisters(Prog);
   std::vector<int64_t> Corruptions = representativeCorruptions(Prog);
 
   std::vector<InjectionTask> Tasks;
-  for (size_t SI = 0; SI != NumSnaps; ++SI) {
-    const MachineState &S = StateAt(SI);
+  for (size_t SI = 0; SI != Snaps.size(); ++SI) {
+    const MachineState &S = Snaps[SI].S;
     // The pcs are only bumped when the next rule fires, so pcG's payload
     // is the address of the instruction the next transition executes —
     // whether or not it is already fetched into IR.
@@ -861,12 +898,14 @@ enumerateTasks(const Program &Prog, const TheoremConfig &Config,
             ++Table[Verdict::StaticallyMasked];
         continue;
       }
-      if (Prune && CtrlAhead && Site.K == FaultSite::Kind::Register &&
+      if (Prune && SpecialDischarge && Site.K == FaultSite::Kind::Register &&
           (Site.R.isDest() || Site.R.isPC())) {
         Verdict V;
         if (Site.R.isDest()) {
-          V = (*CtrlAhead)[SI] ? Verdict::StaticallyDetected
-                               : Verdict::StaticallyMasked;
+          bool CtrlAhead =
+              LastCtrl >= 0 && (uint64_t)LastCtrl >= Snaps[SI].Steps;
+          V = CtrlAhead ? Verdict::StaticallyDetected
+                        : Verdict::StaticallyMasked;
         } else {
           bool CommitInFlight =
               S.IR && S.IR->isControlFlow() && S.IR->C == Color::Blue &&
@@ -929,17 +968,71 @@ bool applyShardSlice(const CampaignOptions &Opts, const TheoremConfig &Config,
   return true;
 }
 
+/// The phase-1 record of one reference execution.
+struct ReferenceRun {
+  /// The injection points: every InjectionStride steps, step 0 included.
+  std::vector<UntypedSnapshot> Snaps;
+  /// Typed campaigns only: the closing substitution at each snapshot.
+  std::vector<Subst> Closings;
+  OutputTrace Trace;
+  MachineState Final;
+  uint64_t Steps = 0;
+  /// Step count of the latest point where a control instruction was
+  /// in flight (about to execute), or -1: a snapshot taken at or before
+  /// it still has a control ahead of it (the d-register discharge input).
+  int64_t LastCtrl = -1;
+  ReplayRecorder Replay;
+};
+
+/// Phase 1 (serial): runs the reference execution in \p S to the exit
+/// block and records it into \p Ref. \p StepOnce advances \p S by one
+/// transition: the campaign's engine, or, in typed campaigns, \p Tracked,
+/// the TrackedRun that owns \p S, whose closing substitution is kept
+/// beside every snapshot. Returns the violation text when the run fails
+/// and an empty string otherwise.
+template <typename StepFn>
+std::string recordReference(MachineState &S, Addr ExitAddr,
+                            const TheoremConfig &Config, StepFn StepOnce,
+                            const TrackedRun *Tracked, ReferenceRun &Ref) {
+  uint64_t Stride = std::max<uint64_t>(1, Config.InjectionStride);
+  auto TakeSnapshot = [&] {
+    Ref.Snaps.push_back({S, Ref.Steps, Ref.Trace.size()});
+    if (Tracked)
+      Ref.Closings.push_back(Tracked->closing());
+  };
+  TakeSnapshot(); // Step 0 is always an injection point.
+  Ref.Replay.start(S);
+  while (!atExit(S, ExitAddr)) {
+    if (Ref.Steps >= Config.MaxSteps)
+      return "reference run exceeded MaxSteps";
+    if (S.IR && S.IR->isControlFlow())
+      Ref.LastCtrl = (int64_t)Ref.Steps;
+    Ref.Replay.beforeStep(S, Ref.Steps + 1);
+    StepResult SR = StepOnce();
+    ++Ref.Steps;
+    if (SR.Output)
+      Ref.Trace.push_back(*SR.Output);
+    if (SR.Status != StepStatus::Ok)
+      return formatv("reference run failed at step %llu (%s)",
+                     (unsigned long long)Ref.Steps,
+                     SR.Status == StepStatus::Stuck ? "stuck"
+                                                    : "false positive");
+    Ref.Replay.afterStep(S, Ref.Steps, Ref.Trace.size());
+    if (Ref.Steps % Stride == 0)
+      TakeSnapshot();
+  }
+  Ref.Final = S;
+  return {};
+}
+
 /// Phase 3, untyped: classifies every task in parallel on the raw
 /// semantics — with or without the recovery layer — and merges verdicts,
-/// violations and recovery stats into \p R deterministically. A non-empty
-/// recording \p Replay from phase 1 arms the differential replay.
+/// violations and recovery stats into \p R deterministically. An armed
+/// recorder in \p Ref arms the differential replay.
 void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
                           const CampaignOptions &Opts,
                           const std::vector<InjectionTask> &Tasks,
-                          const std::vector<UntypedSnapshot> &Snaps,
-                          const OutputTrace &RefTrace,
-                          const MachineState &RefFinal, uint64_t RefSteps,
-                          const ReplayRecorder &Replay, CampaignResult &R) {
+                          const ReferenceRun &Ref, CampaignResult &R) {
   auto AddViolation = [&](std::string V) {
     R.Ok = false;
     if (R.Violations.size() < Config.MaxViolations)
@@ -947,30 +1040,12 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
   };
 
   const ExecEngine &E = Opts.Engine ? *Opts.Engine : referenceEngine();
-  R.Stats.Engine = E.name();
-  // JIT-tier provenance: compilation stats are per-program constants; the
-  // side-exit counter is cumulative across the engine's lifetime, so this
-  // campaign's share is the delta over the classification phase.
-  const auto *JE = dynamic_cast<const vm::JitEngine *>(&E);
-  uint64_t JitExitsBefore = JE ? JE->sideExits() : 0;
-  if (JE) {
-    R.Stats.JitNative = JE->native();
-    R.Stats.JitBlocksCompiled = JE->blocksCompiled();
-    R.Stats.JitCodeBytes = JE->codeBytes();
-  }
-  unsigned Threads = Opts.Threads
-                         ? Opts.Threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-  R.Stats.ThreadsUsed =
-      (unsigned)std::min<uint64_t>(Threads, std::max<size_t>(1, Tasks.size()));
-  Expected<MachineState> Initial = Prog.initialState();
-  if (Error Err = Initial.takeError()) {
-    AddViolation("cannot start: " + Err.message());
-    return;
-  }
-
+  EngineProvenance Provenance(E, R.Stats);
+  const std::vector<UntypedSnapshot> &Snaps = Ref.Snaps;
+  const ReplayRecorder &Replay = Ref.Replay;
   bool Recover = Config.Recovery.Enabled;
-  bool Converge = !Recover && Opts.Converge && !Replay.Snaps.empty();
+  // The recorder is armed only for recovery-free untyped campaigns.
+  bool Converge = Replay.Enabled;
   R.Stats.Converge = Converge;
   Addr ExitAddr = Prog.exitAddress();
   std::vector<uint8_t> Verdicts(Tasks.size(), 0);
@@ -984,8 +1059,17 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
                                      Snaps[Tasks[I].SnapIdx].Steps,
                                      abnormalMessage(V));
   };
+  // The concrete classifier from faulty state S at reference step AtSteps,
+  // with the first TraceLen reference outputs already emitted.
+  auto Classify = [&](uint64_t I, MachineState &S, uint64_t AtSteps,
+                      size_t TraceLen, ZapTag Z) {
+    PrefixTracker Prefix{Ref.Trace, TraceLen};
+    Record(I, classifyContinuation(E, ExitAddr, Config.Policy,
+                                   Ref.Steps - AtSteps + Config.ExtraSteps,
+                                   Prefix, Ref.Final, S, &Z));
+  };
   // One continuation from its injection point.
-  auto RunOne = [&](uint64_t I) {
+  auto RunOne = [&](uint64_t I) -> uint64_t {
     const InjectionTask &T = Tasks[I];
     const UntypedSnapshot &Snap = Snaps[T.SnapIdx];
     MachineState S;
@@ -994,7 +1078,7 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
       S = Snap.S;
       TraceLen = Snap.TraceLen;
     } else {
-      S = *Initial;
+      S = Snaps[0].S; // the initial state
       OutputTrace Prefix;
       E.replaySteps(S, Snap.Steps, Prefix, Config.Policy);
       TraceLen = Prefix.size();
@@ -1002,23 +1086,22 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
     if (Recover) {
       RecoveredOutcome O = classifyRecoveringContinuation(
           E, ExitAddr, Config.Policy, Config.Recovery, Config.ExtraSteps,
-          RefTrace, RefFinal, RefSteps, std::move(S), Snap.Steps, TraceLen,
+          Ref.Trace, Ref.Final, Ref.Steps, std::move(S), Snap.Steps, TraceLen,
           T.Site, T.Value);
       Verdicts[I] = (uint8_t)O.V;
       Details[I] = std::move(O.Detail);
       TaskStats[I] = O.Stats;
-      return;
+      return 1;
     }
     ZapTag Z = ZapTag::color(faultColor(S, T.Site));
     injectFault(S, T.Site, T.Value);
-    Record(I, classifyContinuation(E, ExitAddr, Config.Policy,
-                                   Config.ExtraSteps, RefTrace, RefFinal,
-                                   RefSteps, S, Snap.Steps, TraceLen, Z));
+    Classify(I, S, Snap.Steps, TraceLen, Z);
+    return 1;
   };
 
   if (!Converge || Replay.Execs.empty()) {
-    dispatchTasks(Threads, Tasks.size(), RunOne, Opts.ProgressInterval,
-                  Opts.Progress);
+    R.Stats.ThreadsUsed =
+        dispatchTasks(Opts.Threads, Tasks.size(), Tasks.size(), RunOne, Opts);
   } else {
     // With the differential replay armed, each worker owns whole blocks
     // of the snapshot-major task list. pc sites (accessed by the very
@@ -1042,28 +1125,13 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
       I = J;
     }
 
-    // Task-granularity progress across block-granularity dispatch.
-    std::atomic<uint64_t> TasksDone{0};
-    std::mutex ProgressMu;
-    auto ReportProgress = [&](uint64_t N) {
-      if (!Opts.Progress || !Opts.ProgressInterval)
-        return;
-      uint64_t Prev = TasksDone.fetch_add(N, std::memory_order_acq_rel);
-      uint64_t Done = Prev + N;
-      if (Done == Tasks.size() ||
-          Done / Opts.ProgressInterval != Prev / Opts.ProgressInterval) {
-        std::lock_guard<std::mutex> Lock(ProgressMu);
-        Opts.Progress({Done, Tasks.size()});
-      }
-    };
-
     struct BailEntry {
       uint64_t Resume;
       uint64_t Task;
       ZapTag Z;
       TaintMap Taint;
     };
-    auto RunBlock = [&](uint64_t B) {
+    auto RunBlock = [&](uint64_t B) -> uint64_t {
       auto [Begin, End] = Blocks[B];
       std::vector<BailEntry> Bails;
       for (uint64_t I = Begin; I != End; ++I) {
@@ -1077,7 +1145,7 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
         DeferredBail DB;
         if (std::optional<Verdict> V =
                 differentialReplay(Replay, T.Site, T.Value, Snap.Steps,
-                                   RefFinal, RefSteps, Z, Skipped[I], DB))
+                                   Ref.Final, Ref.Steps, Z, Skipped[I], DB))
           Record(I, *V);
         else
           Bails.push_back({DB.Resume, I, Z, std::move(DB.Taint)});
@@ -1113,14 +1181,12 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
         Skipped[Bail.Task] = Resume - Snap.Steps;
         MachineState S = Roll;
         patchTaint(S, Bail.Taint);
-        Record(Bail.Task, classifyContinuation(
-                              E, ExitAddr, Config.Policy, Config.ExtraSteps,
-                              RefTrace, RefFinal, RefSteps, S, Resume,
-                              RollLen, Bail.Z));
+        Classify(Bail.Task, S, Resume, RollLen, Bail.Z);
       }
-      ReportProgress(End - Begin);
+      return End - Begin;
     };
-    dispatchTasks(Threads, Blocks.size(), RunBlock, 0, nullptr);
+    R.Stats.ThreadsUsed = dispatchTasks(Opts.Threads, Blocks.size(),
+                                        Tasks.size(), RunBlock, Opts);
   }
 
   // Deterministic merge: counters sum (order-independent), violations keep
@@ -1136,109 +1202,78 @@ void classifyUntypedTasks(const Program &Prog, const TheoremConfig &Config,
       R.Stats.LockstepSteps += Skipped[I];
     }
   }
-  if (JE)
-    R.Stats.JitSideExits = JE->sideExits() - JitExitsBefore;
+  Provenance.finish();
 }
 
-} // namespace
-
-CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
-                                                const CheckedProgram &CP,
-                                                const TheoremConfig &ConfigIn,
-                                                const CampaignOptions &Opts) {
-  CampaignResult R;
-  // The CFI table (when requested) rides on the step policy, so every
-  // engine — reference interpreter, vm, jit — validates commits through
-  // the same hook. Record-only: verdicts cannot depend on it.
-  std::unique_ptr<CfiTable> Cfi = buildCfiTable(*CP.Prog, Opts);
-  TheoremConfig Config = ConfigIn;
-  if (Cfi)
-    Config.Policy.Cfi = Cfi.get();
-  auto FinishCfi = [&] {
-    if (!Cfi)
-      return;
-    R.Stats.CfiChecked = true;
-    R.Stats.CfiCommits = Cfi->commits();
-    R.Stats.CfiViolations = Cfi->violations();
-    R.CfiFirstViolation = Cfi->firstViolation();
-  };
+/// The single-fault sweep behind both public entry points. \p CP (with
+/// \p TC) is the checked form of \p Prog when the caller has one: the
+/// campaign then checks the initial closing substitution and may re-type
+/// faulty states (TypeCheckFaultyStates); without it \p Prog runs on the
+/// raw semantics alone. Every campaign except a typed one records its
+/// reference on the selected engine.
+void runSweep(CampaignResult &R, const Program &Prog, TypeContext *TC,
+              const CheckedProgram *CP, const TheoremConfig &Config,
+              const CampaignOptions &Opts) {
   auto AddViolation = [&](std::string V) {
     R.Ok = false;
     if (R.Violations.size() < Config.MaxViolations)
       R.Violations.push_back(std::move(V));
   };
-
-  // Phase 1 (serial): the reference execution, snapshotting every
-  // injection step. Typed campaigns keep full TrackedRun snapshots (state
-  // plus closing substitution); classification-only campaigns keep just
-  // the machine state and the trace length.
-  Clock::time_point RefStart = Clock::now();
   bool Typed = Config.TypeCheckFaultyStates;
+  if (Typed && !CP) {
+    AddViolation("the raw-semantics sweep cannot re-typecheck faulty states; "
+                 "use runFaultToleranceCampaign on a checked program");
+    return;
+  }
   if (Typed && Config.Recovery.Enabled) {
     AddViolation("recovery cannot be combined with TypeCheckFaultyStates: "
                  "rollback replays run on the raw semantics");
-    FinishCfi();
-    return R;
-  }
-  uint64_t Stride = std::max<uint64_t>(1, Config.InjectionStride);
-
-  TrackedRun Run(TC, CP, Config.Policy);
-  if (Error E = Run.start()) {
-    AddViolation("cannot start: " + E.message());
-    FinishCfi();
-    return R;
+    return;
   }
 
-  std::vector<TrackedRun::Snapshot> TypedSnaps;
-  std::vector<UntypedSnapshot> Snaps;
-  auto TakeSnapshot = [&] {
-    if (Typed)
-      TypedSnaps.push_back(Run.snapshot());
-    else
-      Snaps.push_back({Run.state(), Run.steps(), Run.trace().size()});
-  };
-
-  // The differential replay's recorder: the register access log, the
-  // executed instruction stream and dense reconstruction snapshots. Typed
-  // and recovery campaigns never replay, so they skip the recording.
-  ReplayRecorder CR;
-  CR.Enabled = !Typed && !Config.Recovery.Enabled && Opts.Converge;
-
-  // Step count of the latest point where a control instruction was
-  // in-flight (about to execute). A snapshot taken at or before that
-  // count still has a control instruction ahead of it in the reference
-  // run — the input to the d-register discharge rule.
-  int64_t LastCtrl = -1;
-  TakeSnapshot(); // Step 0 is always an injection point.
-  CR.start(Run.state());
-  while (!Run.atExitBlock()) {
-    if (Run.steps() >= Config.MaxSteps) {
-      AddViolation("reference run exceeded MaxSteps");
-      FinishCfi();
-      return R;
+  Clock::time_point RefStart = Clock::now();
+  Expected<MachineState> Init = Prog.initialState();
+  if (Error Err = Init.takeError()) {
+    AddViolation("cannot start: " + Err.message());
+    return;
+  }
+  Addr ExitAddr = Prog.exitAddress();
+  R.ProgramHash =
+      programContentHash(Prog.code(), Prog.entryAddress(), ExitAddr, *Init);
+  // A checked program's initial state must have a closing substitution;
+  // only typed campaigns go on tracking it.
+  std::optional<TrackedRun> Run;
+  if (CP) {
+    Run.emplace(*TC, *CP, Config.Policy);
+    if (Error Err = Run->start()) {
+      AddViolation("cannot start: " + Err.message());
+      return;
     }
-    if (Run.state().IR && Run.state().IR->isControlFlow())
-      LastCtrl = (int64_t)Run.steps();
-    CR.beforeStep(Run.state(), Run.steps() + 1);
-    StepResult SR = Run.stepOnce();
-    if (SR.Status != StepStatus::Ok) {
-      AddViolation(formatv("reference run failed at step %llu (%s)",
-                           (unsigned long long)Run.steps(),
-                           SR.Status == StepStatus::Stuck ? "stuck"
-                                                          : "false positive"));
-      FinishCfi();
-      return R;
-    }
-    CR.afterStep(Run.state(), Run.steps(), Run.trace().size());
-    if (Run.steps() % Stride == 0)
-      TakeSnapshot();
   }
-  TrackedRun::Snapshot RefFinal = Run.snapshot();
-  R.ReferenceSteps = RefFinal.Steps;
-  R.ReferenceTrace = RefFinal.Trace;
 
-  std::optional<analysis::ZapCoverage> Oracle =
-      buildPruneOracle(*CP.Prog, Opts);
+  // Phase 1 (serial): the reference execution, snapshotting every
+  // injection step. The differential replay's recording is skipped by
+  // typed campaigns (they must type every intermediate state) and
+  // recovery campaigns (rollback replays re-diverge from the reference).
+  ReferenceRun Ref;
+  Ref.Replay.Enabled = !Typed && !Config.Recovery.Enabled && Opts.Converge;
+  const ExecEngine &E = Opts.Engine ? *Opts.Engine : referenceEngine();
+  MachineState S = *Init;
+  std::string Failure =
+      Typed ? recordReference(
+                  Run->state(), ExitAddr, Config,
+                  [&] { return Run->stepOnce(); }, &*Run, Ref)
+            : recordReference(
+                  S, ExitAddr, Config,
+                  [&] { return E.step(S, Config.Policy); }, nullptr, Ref);
+  if (!Failure.empty()) {
+    AddViolation(std::move(Failure));
+    return;
+  }
+  R.ReferenceSteps = Ref.Steps;
+  R.ReferenceTrace = Ref.Trace;
+
+  std::optional<analysis::ZapCoverage> Oracle = buildPruneOracle(Prog, Opts);
   // Control-register discharge needs the oracle's guarantee that specials
   // never appear as instruction operands, the raw semantics (typed
   // campaigns re-check states, recovery rewrites continuations), and
@@ -1246,73 +1281,52 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
   bool SpecialDischarge = Oracle && Oracle->specialSiteDischargeSound() &&
                           !Typed && !Config.Recovery.Enabled &&
                           Config.ExtraSteps >= 2;
-  std::vector<uint8_t> CtrlAhead;
-  if (SpecialDischarge) {
-    CtrlAhead.resize(Snaps.size());
-    for (size_t I = 0; I != Snaps.size(); ++I)
-      CtrlAhead[I] = LastCtrl >= 0 && (uint64_t)LastCtrl >= Snaps[I].Steps;
-  }
-  std::vector<InjectionTask> Tasks = enumerateTasks(
-      *CP.Prog, Config, Typed ? TypedSnaps.size() : Snaps.size(),
-      [&](size_t SI) -> const MachineState & {
-        return Typed ? TypedSnaps[SI].S : Snaps[SI].S;
-      },
-      Oracle ? &*Oracle : nullptr, R.Table,
-      SpecialDischarge ? &CtrlAhead : nullptr);
+  std::vector<InjectionTask> Tasks =
+      enumerateTasks(Prog, Config, Ref.Snaps, Oracle ? &*Oracle : nullptr,
+                     SpecialDischarge, Ref.LastCtrl, R.Table);
   R.Stats.ReferenceSeconds = secondsSince(RefStart);
-  if (Expected<MachineState> Init = CP.Prog->initialState())
-    R.ProgramHash =
-        programContentHash(CP.Prog->code(), CP.Prog->entryAddress(),
-                           CP.Prog->exitAddress(), *Init);
-  if (!applyShardSlice(Opts, Config, Tasks, R)) {
-    FinishCfi();
-    return R;
-  }
+  if (!applyShardSlice(Opts, Config, Tasks, R))
+    return;
   R.Stats.Tasks = Tasks.size();
   R.Stats.Pruned = Oracle.has_value();
   R.Stats.PrunedTasks = R.Table[Verdict::StaticallyMasked] +
                         R.Table[Verdict::StaticallyDetected];
   R.Stats.PrunedDetected = R.Table[Verdict::StaticallyDetected];
 
-  // Phase 3: classify every continuation. Typed campaigns run serially
-  // through the shared TypeContext; classification-only campaigns fan out.
+  // Phase 3: classify every continuation.
   Clock::time_point InjectStart = Clock::now();
   if (Typed) {
-    // Typed campaigns re-check ⊢Z S through TrackedRun, which owns the
-    // typing bookkeeping; they always replay on the reference semantics.
+    // Typed campaigns re-check ⊢Z S through the TrackedRun, which owns the
+    // typing bookkeeping and the shared TypeContext, so they run serially
+    // on the reference semantics.
     R.Stats.Engine = referenceEngine().name();
-    R.Stats.ThreadsUsed = 1;
-    uint64_t Done = 0;
-    for (const InjectionTask &T : Tasks) {
-      const TrackedRun::Snapshot *At = &TypedSnaps[T.SnapIdx];
-      TrackedRun::Snapshot Replayed;
-      if (Opts.Resume == ResumeMode::Replay) {
-        // Rebuild the snapshot by re-executing the reference prefix.
-        TrackedRun Fresh(TC, CP, Config.Policy);
-        if (Error E = Fresh.start()) {
-          AddViolation("cannot start: " + E.message());
-          FinishCfi();
-          return R;
-        }
-        while (Fresh.steps() < TypedSnaps[T.SnapIdx].Steps)
-          Fresh.stepOnce();
-        Replayed = Fresh.snapshot();
-        At = &Replayed;
+    auto RunTyped = [&](uint64_t I) -> uint64_t {
+      const InjectionTask &T = Tasks[I];
+      const UntypedSnapshot &Snap = Ref.Snaps[T.SnapIdx];
+      if (Opts.Resume == ResumeMode::Snapshot) {
+        Run->restore({Snap.S, Ref.Closings[T.SnapIdx],
+                      OutputTrace(Ref.Trace.begin(),
+                                  Ref.Trace.begin() + Snap.TraceLen),
+                      Snap.Steps});
+      } else {
+        // Rebuild the injection point by re-executing the reference
+        // prefix from step 0.
+        Run->restore({Ref.Snaps[0].S, Ref.Closings[0], {}, 0});
+        while (Run->steps() < Snap.Steps)
+          Run->stepOnce();
       }
-      TypedOutcome O = runTypedInjection(Config, Run, *At, T.Site, T.Value,
-                                         RefFinal, RefFinal.Trace);
+      TypedOutcome O = runTypedInjection(Config, *Run, T.Site, T.Value,
+                                         Ref.Steps, Ref.Final, Ref.Trace);
       R.Table[O.V] += 1;
       R.StatesTypechecked += O.Typechecked;
       if (!isBenign(O.V))
         AddViolation(std::move(O.Detail));
-      ++Done;
-      if (Opts.Progress && Opts.ProgressInterval &&
-          (Done % Opts.ProgressInterval == 0 || Done == Tasks.size()))
-        Opts.Progress({Done, Tasks.size()});
-    }
+      return 1;
+    };
+    R.Stats.ThreadsUsed =
+        dispatchTasks(1, Tasks.size(), Tasks.size(), RunTyped, Opts);
   } else {
-    classifyUntypedTasks(*CP.Prog, Config, Opts, Tasks, Snaps, RefFinal.Trace,
-                         RefFinal.S, RefFinal.Steps, CR, R);
+    classifyUntypedTasks(Prog, Config, Opts, Tasks, Ref, R);
   }
 
   if (Opts.ShardRetiredHook)
@@ -1320,131 +1334,29 @@ CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
   R.Stats.WallSeconds = secondsSince(InjectStart);
   if (R.Stats.WallSeconds > 0)
     R.Stats.TriplesPerSecond = (double)Tasks.size() / R.Stats.WallSeconds;
-  FinishCfi();
-  return R;
 }
 
-CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
-                                             const TheoremConfig &ConfigIn,
-                                             const CampaignOptions &Opts) {
+CampaignResult runCampaign(const Program &Prog, TypeContext *TC,
+                           const CheckedProgram *CP,
+                           const TheoremConfig &ConfigIn,
+                           const CampaignOptions &Opts) {
   CampaignResult R;
+  // The CFI table (when requested) rides on the step policy, so every
+  // engine — reference interpreter, vm, jit — validates commits through
+  // the same hook. Record-only: verdicts cannot depend on it.
   std::unique_ptr<CfiTable> Cfi = buildCfiTable(Prog, Opts);
   TheoremConfig Config = ConfigIn;
   if (Cfi)
     Config.Policy.Cfi = Cfi.get();
-  auto FinishCfi = [&] {
-    if (!Cfi)
-      return;
+  runSweep(R, Prog, TC, CP, Config, Opts);
+  if (Cfi) {
     R.Stats.CfiChecked = true;
     R.Stats.CfiCommits = Cfi->commits();
     R.Stats.CfiViolations = Cfi->violations();
     R.CfiFirstViolation = Cfi->firstViolation();
-  };
-  auto AddViolation = [&](std::string V) {
-    R.Ok = false;
-    if (R.Violations.size() < Config.MaxViolations)
-      R.Violations.push_back(std::move(V));
-  };
-  if (Config.TypeCheckFaultyStates) {
-    AddViolation("the raw-semantics sweep cannot re-typecheck faulty states; "
-                 "use runFaultToleranceCampaign on a checked program");
-    FinishCfi();
-    return R;
   }
-
-  // Phase 1 (serial): the reference execution on the raw semantics,
-  // snapshotting every injection step — the same loop shape as the typed
-  // campaign's, so the violation wording matches.
-  Clock::time_point RefStart = Clock::now();
-  uint64_t Stride = std::max<uint64_t>(1, Config.InjectionStride);
-  const ExecEngine &E = Opts.Engine ? *Opts.Engine : referenceEngine();
-
-  Expected<MachineState> S0 = Prog.initialState();
-  if (Error Err = S0.takeError()) {
-    AddViolation("cannot start: " + Err.message());
-    FinishCfi();
-    return R;
-  }
-  MachineState S = *S0;
-  Addr ExitAddr = Prog.exitAddress();
-  R.ProgramHash =
-      programContentHash(Prog.code(), Prog.entryAddress(), ExitAddr, S);
-  OutputTrace Trace;
-  uint64_t Steps = 0;
-  ReplayRecorder CR;
-  CR.Enabled = !Config.Recovery.Enabled && Opts.Converge;
-  std::vector<UntypedSnapshot> Snaps;
-  int64_t LastCtrl = -1;
-  Snaps.push_back({S, 0, 0}); // Step 0 is always an injection point.
-  CR.start(S);
-  while (!atExit(S, ExitAddr)) {
-    if (Steps >= Config.MaxSteps) {
-      AddViolation("reference run exceeded MaxSteps");
-      FinishCfi();
-      return R;
-    }
-    if (S.IR && S.IR->isControlFlow())
-      LastCtrl = (int64_t)Steps;
-    CR.beforeStep(S, Steps + 1);
-    StepResult SR = E.step(S, Config.Policy);
-    ++Steps;
-    if (SR.Output)
-      Trace.push_back(*SR.Output);
-    if (SR.Status != StepStatus::Ok) {
-      AddViolation(formatv("reference run failed at step %llu (%s)",
-                           (unsigned long long)Steps,
-                           SR.Status == StepStatus::Stuck ? "stuck"
-                                                          : "false positive"));
-      FinishCfi();
-      return R;
-    }
-    CR.afterStep(S, Steps, Trace.size());
-    if (Steps % Stride == 0)
-      Snaps.push_back({S, Steps, Trace.size()});
-  }
-  R.ReferenceSteps = Steps;
-  R.ReferenceTrace = Trace;
-
-  std::optional<analysis::ZapCoverage> Oracle = buildPruneOracle(Prog, Opts);
-  bool SpecialDischarge = Oracle && Oracle->specialSiteDischargeSound() &&
-                          !Config.Recovery.Enabled && Config.ExtraSteps >= 2;
-  std::vector<uint8_t> CtrlAhead;
-  if (SpecialDischarge) {
-    CtrlAhead.resize(Snaps.size());
-    for (size_t I = 0; I != Snaps.size(); ++I)
-      CtrlAhead[I] = LastCtrl >= 0 && (uint64_t)LastCtrl >= Snaps[I].Steps;
-  }
-  std::vector<InjectionTask> Tasks =
-      enumerateTasks(Prog, Config, Snaps.size(),
-                     [&](size_t SI) -> const MachineState & {
-                       return Snaps[SI].S;
-                     },
-                     Oracle ? &*Oracle : nullptr, R.Table,
-                     SpecialDischarge ? &CtrlAhead : nullptr);
-  R.Stats.ReferenceSeconds = secondsSince(RefStart);
-  if (!applyShardSlice(Opts, Config, Tasks, R)) {
-    FinishCfi();
-    return R;
-  }
-  R.Stats.Tasks = Tasks.size();
-  R.Stats.Pruned = Oracle.has_value();
-  R.Stats.PrunedTasks = R.Table[Verdict::StaticallyMasked] +
-                        R.Table[Verdict::StaticallyDetected];
-  R.Stats.PrunedDetected = R.Table[Verdict::StaticallyDetected];
-
-  Clock::time_point InjectStart = Clock::now();
-  classifyUntypedTasks(Prog, Config, Opts, Tasks, Snaps, Trace, S, Steps, CR,
-                       R);
-  if (Opts.ShardRetiredHook)
-    Opts.ShardRetiredHook(R.Stats.ShardIndex, R.Stats.ShardCount);
-  R.Stats.WallSeconds = secondsSince(InjectStart);
-  if (R.Stats.WallSeconds > 0)
-    R.Stats.TriplesPerSecond = (double)Tasks.size() / R.Stats.WallSeconds;
-  FinishCfi();
   return R;
 }
-
-namespace {
 
 /// Classifies one explicit injection plan on the raw semantics via \p E.
 Verdict classifyPlan(const ExecEngine &E, const Program &Prog,
@@ -1478,28 +1390,13 @@ Verdict classifyPlan(const ExecEngine &E, const Program &Prog,
   }
 
   uint64_t Budget = (RefSteps > Now ? RefSteps - Now : 0) + ExtraSteps;
-  RunStatus St = E.runContinuation(
-      S, Prog.exitAddress(), Budget, Policy,
-      [&Prefix](const QueueEntry &Out) { Prefix.track(Out); });
-  switch (St) {
-  case RunStatus::OutOfSteps:
-    return Verdict::BudgetExhausted;
-  case RunStatus::Stuck:
-    return Verdict::Stuck;
-  case RunStatus::FaultDetected:
-    return Prefix.Diverged ? Verdict::DetectedBadPrefix : Verdict::Detected;
-  case RunStatus::Halted:
-    break;
-  }
-
-  if (Prefix.Diverged || Prefix.MatchPos != RefTrace.size())
-    return Verdict::SilentCorruption;
   // Similarity is indexed by a single zap color; a cross-color plan has no
   // such index, so it classifies on the trace alone.
-  if (!MixedColors && ZapColor &&
-      !similarStates(ZapTag::color(*ZapColor), S, RefFinal))
-    return Verdict::DissimilarState;
-  return Verdict::Masked;
+  std::optional<ZapTag> Z;
+  if (ZapColor && !MixedColors)
+    Z = ZapTag::color(*ZapColor);
+  return classifyContinuation(E, Prog.exitAddress(), Policy, Budget, Prefix,
+                              RefFinal, S, Z ? &*Z : nullptr);
 }
 
 std::string describePlan(const InjectionPlan &Plan, const char *What) {
@@ -1517,20 +1414,26 @@ std::string describePlan(const InjectionPlan &Plan, const char *What) {
 
 } // namespace
 
+CampaignResult talft::runFaultToleranceCampaign(TypeContext &TC,
+                                                const CheckedProgram &CP,
+                                                const TheoremConfig &Config,
+                                                const CampaignOptions &Opts) {
+  return runCampaign(*CP.Prog, &TC, &CP, Config, Opts);
+}
+
+CampaignResult talft::runSingleFaultCampaign(const Program &Prog,
+                                             const TheoremConfig &Config,
+                                             const CampaignOptions &Opts) {
+  return runCampaign(Prog, nullptr, nullptr, Config, Opts);
+}
+
 CampaignResult talft::runInjectionPlans(const PlanCampaign &Spec,
                                         const CampaignOptions &Opts) {
   CampaignResult R;
   assert(Spec.Prog && "plan campaign needs a program");
 
   const ExecEngine &E = Opts.Engine ? *Opts.Engine : referenceEngine();
-  R.Stats.Engine = E.name();
-  const auto *JE = dynamic_cast<const vm::JitEngine *>(&E);
-  uint64_t JitExitsBefore = JE ? JE->sideExits() : 0;
-  if (JE) {
-    R.Stats.JitNative = JE->native();
-    R.Stats.JitBlocksCompiled = JE->blocksCompiled();
-    R.Stats.JitCodeBytes = JE->codeBytes();
-  }
+  EngineProvenance Provenance(E, R.Stats);
 
   Clock::time_point RefStart = Clock::now();
   Expected<MachineState> S0 = Spec.Prog->initialState();
@@ -1559,19 +1462,15 @@ CampaignResult talft::runInjectionPlans(const PlanCampaign &Spec,
   R.Stats.TotalTasks = Spec.Plans.size();
 
   Clock::time_point InjectStart = Clock::now();
-  unsigned Threads = Opts.Threads ? Opts.Threads
-                                  : std::max(1u, std::thread::hardware_concurrency());
-  R.Stats.ThreadsUsed = (unsigned)std::min<uint64_t>(
-      Threads, std::max<size_t>(1, Spec.Plans.size()));
-
   std::vector<uint8_t> Verdicts(Spec.Plans.size(), 0);
-  auto RunOne = [&](uint64_t I) {
+  auto RunOne = [&](uint64_t I) -> uint64_t {
     Verdicts[I] = (uint8_t)classifyPlan(E, *Spec.Prog, Spec.Policy,
                                         Spec.ExtraSteps, RefRun.Trace, Final,
                                         RefRun.Steps, *S0, Spec.Plans[I]);
+    return 1;
   };
-  dispatchTasks(Threads, Spec.Plans.size(), RunOne, Opts.ProgressInterval,
-                Opts.Progress);
+  R.Stats.ThreadsUsed = dispatchTasks(Opts.Threads, Spec.Plans.size(),
+                                      Spec.Plans.size(), RunOne, Opts);
 
   for (size_t I = 0; I != Spec.Plans.size(); ++I) {
     Verdict V = (Verdict)Verdicts[I];
@@ -1590,8 +1489,7 @@ CampaignResult talft::runInjectionPlans(const PlanCampaign &Spec,
   if (R.Stats.WallSeconds > 0)
     R.Stats.TriplesPerSecond =
         (double)Spec.Plans.size() / R.Stats.WallSeconds;
-  if (JE)
-    R.Stats.JitSideExits = JE->sideExits() - JitExitsBefore;
+  Provenance.finish();
   return R;
 }
 

@@ -15,17 +15,29 @@
 /// are order-independent sums, and violation descriptions are emitted in
 /// enumeration order with the cap applied after the merge.
 ///
+/// Both single-fault entry points (checked and raw programs) run one
+/// driver in three phases: a serial reference recorder that steps the
+/// selected engine and snapshots every injection step, the work-list
+/// enumeration with its optional static discharge, and one classifier
+/// pipeline (differential replay, pooled bails, concrete continuations,
+/// recovery). A checked program differs only in that its initial closing
+/// substitution is checked before the sweep. Plan campaigns record their
+/// own reference run and share the continuation classifier.
+///
 /// Workers either resume from a per-step snapshot of the reference
 /// MachineState (the default) or re-execute the reference prefix from step
 /// 0; deterministic semantics make the two equivalent, and the test suite
 /// checks they agree.
 ///
-/// Campaigns that re-typecheck faulty states (Theorem 2 part 2) run
-/// serially regardless of the requested thread count: the type checker
-/// hash-conses expressions through the shared TypeContext, which is not
-/// thread-safe. The classification-only sweep — the common case and the
-/// scaling bottleneck — touches only MachineState, the step function and
-/// the similarity relations, all of which are thread-pure.
+/// Campaigns that re-typecheck faulty states (Theorem 2 part 2) are the
+/// one place a TrackedRun steps the program: it records the reference
+/// with the closing substitution at every snapshot and re-types each
+/// faulty continuation. They run serially regardless of the requested
+/// thread count: the type checker hash-conses expressions through the
+/// shared TypeContext, which is not thread-safe. The classification-only
+/// sweep — the common case and the scaling bottleneck — touches only
+/// MachineState, the step function and the similarity relations, all of
+/// which are thread-pure.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -133,12 +145,13 @@ struct CampaignOptions {
   /// when the campaign re-typechecks faulty states (see file comment).
   unsigned Threads = 1;
   ResumeMode Resume = ResumeMode::Snapshot;
-  /// The execution engine faulty continuations replay on (null = the
-  /// structural reference interpreter). Engines are required to be
-  /// observationally bit-identical, so the verdict table cannot depend on
-  /// this choice; the campaign records which engine produced it in
-  /// Stats.Engine. Campaigns that re-typecheck faulty states always run on
-  /// the reference interpreter (TrackedRun owns the typing bookkeeping).
+  /// The execution engine that records the reference run and replays the
+  /// faulty continuations (null = the structural reference interpreter).
+  /// Engines are required to be observationally bit-identical, so the
+  /// verdict table cannot depend on this choice; the campaign records
+  /// which engine produced it in Stats.Engine. Campaigns that re-typecheck
+  /// faulty states always run on the reference interpreter (TrackedRun
+  /// owns the typing bookkeeping).
   const ExecEngine *Engine = nullptr;
   /// Invoke Progress after roughly every this many completed tasks
   /// (0 disables). Calls are serialized but may fire on any worker.
@@ -217,6 +230,9 @@ struct CampaignStats {
   /// Reference execution and snapshotting.
   double ReferenceSeconds = 0;
   double TriplesPerSecond = 0;
+  /// Workers that ran the classification phase. The differential replay
+  /// hands out whole snapshot blocks, so a campaign with fewer blocks than
+  /// requested threads uses fewer workers.
   unsigned ThreadsUsed = 1;
   uint64_t Tasks = 0;
   /// Name of the engine that produced the verdicts ("reference", "vm",

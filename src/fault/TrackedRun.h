@@ -73,10 +73,10 @@ public:
   Snapshot snapshot() const { return {S, Closing, Trace, Steps}; }
 
   /// Restores a snapshot and clears any zap tag / injection marker.
-  void restore(const Snapshot &Snap) {
-    S = Snap.S;
-    Closing = Snap.Closing;
-    Trace = Snap.Trace;
+  void restore(Snapshot Snap) {
+    S = std::move(Snap.S);
+    Closing = std::move(Snap.Closing);
+    Trace = std::move(Snap.Trace);
     Steps = Snap.Steps;
     Z = ZapTag::none();
     Injected = false;

@@ -115,7 +115,9 @@ TEST(ReplayFold, SingleFaultCampaignsBitIdentical) {
 // Same fold oracle for the typed-program entry point, plus pruning: a
 // pruned replayed campaign must equal a pruned unreplayed one (the
 // Masked/StaticallyMasked split depends on pruning, so the baselines
-// pair up by Prune flag).
+// pair up by Prune flag). Both entry points share one sweep driver, so
+// the raw-semantics campaign on the same well-typed program must match
+// the checked one field for field, strategy counters included.
 TEST(ReplayFold, FaultToleranceAndPrunedCampaignsBitIdentical) {
   for (const NamedProgram &NP : allPrograms()) {
     if (!NP.WellTyped)
@@ -126,6 +128,8 @@ TEST(ReplayFold, FaultToleranceAndPrunedCampaignsBitIdentical) {
     Expected<CheckedProgram> CP = checkProgram(TC, P, Diags);
     ASSERT_TRUE(bool(CP)) << NP.Name << ": " << Diags.str();
     std::unique_ptr<ExecEngine> Vm = vm::createEngine(P.code());
+    std::unique_ptr<ExecEngine> Jit =
+        vm::createEngineByName(vm::DefaultEngineName, P.code());
     TheoremConfig Config;
     Config.InjectionStride = 2;
 
@@ -135,22 +139,40 @@ TEST(ReplayFold, FaultToleranceAndPrunedCampaignsBitIdentical) {
       Base.Prune = Prune;
       CampaignResult Baseline =
           runFaultToleranceCampaign(TC, *CP, Config, Base);
+      EXPECT_NE(Baseline.ProgramHash, 0u) << NP.Name;
 
-      CampaignOptions Opts;
-      Opts.Converge = true;
-      Opts.Prune = Prune;
-      Opts.Engine = Vm.get();
-      Opts.Threads = 8;
-      CampaignResult R = runFaultToleranceCampaign(TC, *CP, Config, Opts);
+      for (const ExecEngine *E : {Vm.get(), Jit.get()}) {
+        CampaignOptions Opts;
+        Opts.Converge = true;
+        Opts.Prune = Prune;
+        Opts.CfiCheck = true;
+        Opts.Engine = E;
+        Opts.Threads = 8;
+        CampaignResult R = runFaultToleranceCampaign(TC, *CP, Config, Opts);
 
-      std::string At =
-          std::string(NP.Name) + (Prune ? "/pruned" : "/unpruned");
-      EXPECT_EQ(R.Ok, Baseline.Ok) << At;
-      EXPECT_EQ(R.ReferenceSteps, Baseline.ReferenceSteps) << At;
-      EXPECT_EQ(R.ReferenceTrace, Baseline.ReferenceTrace) << At;
-      EXPECT_EQ(R.Table, Baseline.Table) << At;
-      EXPECT_EQ(R.Violations, Baseline.Violations) << At;
-      EXPECT_TRUE(R.Ok) << At;
+        std::string At = std::string(NP.Name) +
+                         (Prune ? "/pruned" : "/unpruned") + " engine=" +
+                         E->name();
+        EXPECT_EQ(R.Ok, Baseline.Ok) << At;
+        EXPECT_EQ(R.ReferenceSteps, Baseline.ReferenceSteps) << At;
+        EXPECT_EQ(R.ReferenceTrace, Baseline.ReferenceTrace) << At;
+        EXPECT_EQ(R.Table, Baseline.Table) << At;
+        EXPECT_EQ(R.Violations, Baseline.Violations) << At;
+        EXPECT_EQ(R.ProgramHash, Baseline.ProgramHash) << At;
+        EXPECT_TRUE(R.Ok) << At;
+        EXPECT_EQ(R.Stats.CfiViolations, 0u) << At;
+
+        CampaignResult Raw = runSingleFaultCampaign(P, Config, Opts);
+        EXPECT_EQ(Raw.Ok, R.Ok) << At;
+        EXPECT_EQ(Raw.ReferenceSteps, R.ReferenceSteps) << At;
+        EXPECT_EQ(Raw.ReferenceTrace, R.ReferenceTrace) << At;
+        EXPECT_EQ(Raw.Table, R.Table) << At;
+        EXPECT_EQ(Raw.Violations, R.Violations) << At;
+        EXPECT_EQ(Raw.ProgramHash, R.ProgramHash) << At;
+        EXPECT_EQ(Raw.Stats.LockstepSkips, R.Stats.LockstepSkips) << At;
+        EXPECT_EQ(Raw.Stats.LockstepSteps, R.Stats.LockstepSteps) << At;
+        EXPECT_EQ(Raw.Stats.CfiCommits, R.Stats.CfiCommits) << At;
+      }
     }
   }
 }

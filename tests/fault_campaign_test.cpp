@@ -156,24 +156,84 @@ TEST(FaultCampaignTest, InjectionStrideShrinksWorkList) {
 }
 
 TEST(FaultCampaignTest, ProgressCallbackCoversAllTasks) {
+  // Progress counts tasks on every dispatch path: the replay's snapshot
+  // blocks (the default), per-task dispatch (Converge off) and the serial
+  // typed loop.
   Loaded L;
   ASSERT_NO_FATAL_FAILURE(L.load(progs::PairedStore));
-  std::atomic<uint64_t> Calls{0};
-  uint64_t MaxDone = 0; // Callback is serialized; plain writes are safe.
-  uint64_t Total = 0;
-  CampaignOptions Opts;
-  Opts.Threads = 4;
-  Opts.ProgressInterval = 100;
-  Opts.Progress = [&](const CampaignProgress &P) {
-    ++Calls;
-    MaxDone = std::max(MaxDone, P.Completed);
-    Total = P.Total;
+  TheoremConfig Typed;
+  Typed.TypeCheckFaultyStates = true;
+  Typed.FaultyTypeCheckStride = 4;
+  struct Case {
+    const char *Name;
+    TheoremConfig Config;
+    bool Converge;
   };
-  CampaignResult R =
-      runFaultToleranceCampaign(L.TC, *L.CP, TheoremConfig(), Opts);
-  EXPECT_GT(Calls.load(), 0u);
-  EXPECT_EQ(MaxDone, R.Table.total());
-  EXPECT_EQ(Total, R.Table.total());
+  for (const Case &C : {Case{"default", TheoremConfig(), true},
+                        Case{"no-converge", TheoremConfig(), false},
+                        Case{"typed", Typed, false}}) {
+    std::atomic<uint64_t> Calls{0};
+    uint64_t MaxDone = 0; // Callback is serialized; plain writes are safe.
+    uint64_t Total = 0;
+    CampaignOptions Opts;
+    Opts.Threads = 4;
+    Opts.Converge = C.Converge;
+    Opts.ProgressInterval = 100;
+    Opts.Progress = [&](const CampaignProgress &P) {
+      ++Calls;
+      MaxDone = std::max(MaxDone, P.Completed);
+      Total = P.Total;
+    };
+    CampaignResult R = runFaultToleranceCampaign(L.TC, *L.CP, C.Config, Opts);
+    EXPECT_GT(Calls.load(), 0u) << C.Name;
+    EXPECT_EQ(MaxDone, R.Table.total()) << C.Name;
+    EXPECT_EQ(Total, R.Table.total()) << C.Name;
+  }
+}
+
+TEST(FaultCampaignTest, ThreadsUsedCountsWorkersThatRan) {
+  // With a single injection point the replay's work list is one snapshot
+  // block, which one worker runs however many threads were asked for.
+  Loaded L;
+  ASSERT_NO_FATAL_FAILURE(L.load(progs::PairedStore));
+  TheoremConfig Config;
+  Config.InjectionStride = 100000;
+  CampaignOptions Opts;
+  Opts.Threads = 8;
+  CampaignResult OneBlock =
+      runFaultToleranceCampaign(L.TC, *L.CP, Config, Opts);
+  EXPECT_TRUE(OneBlock.Stats.Converge);
+  ASSERT_GT(OneBlock.Stats.Tasks, 8u);
+  EXPECT_EQ(OneBlock.Stats.ThreadsUsed, 1u);
+
+  // Per-task dispatch spreads the same tasks over every requested worker.
+  Opts.Converge = false;
+  CampaignResult PerTask =
+      runFaultToleranceCampaign(L.TC, *L.CP, Config, Opts);
+  EXPECT_EQ(PerTask.Stats.ThreadsUsed, 8u);
+  EXPECT_EQ(PerTask.Table, OneBlock.Table);
+}
+
+TEST(FaultCampaignTest, FailedReferenceRunReportsAlikeThroughBothEntryPoints) {
+  // The program hash is taken as soon as the initial state exists, so a
+  // reference run that fails still reports it, through either entry point.
+  Loaded L;
+  ASSERT_NO_FATAL_FAILURE(L.load(progs::PairedStore));
+  TheoremConfig Config;
+  Config.MaxSteps = 3;
+  CampaignResult Checked =
+      runFaultToleranceCampaign(L.TC, *L.CP, Config, CampaignOptions());
+  CampaignResult Raw =
+      runSingleFaultCampaign(*L.Prog, Config, CampaignOptions());
+  EXPECT_FALSE(Checked.Ok);
+  EXPECT_FALSE(Raw.Ok);
+  ASSERT_EQ(Checked.Violations.size(), 1u);
+  EXPECT_EQ(Checked.Violations[0], "reference run exceeded MaxSteps");
+  EXPECT_EQ(Checked.Violations, Raw.Violations);
+  EXPECT_NE(Checked.ProgramHash, 0u);
+  EXPECT_EQ(Checked.ProgramHash, Raw.ProgramHash);
+  EXPECT_EQ(Checked.Table.total(), 0u);
+  EXPECT_EQ(Raw.Table.total(), 0u);
 }
 
 TEST(FaultCampaignTest, SingleFaultPlansMatchSingleFaultSemantics) {
